@@ -21,8 +21,8 @@ import (
 // batch numbers in Benchmarks and the row numbers in the Baseline block.
 //
 // Workloads: one plan per hot operator (scan, filter, project, hash join,
-// hash agg) over a 50k-row synthetic catalog, mirroring the repository
-// benchmark BenchmarkEngineOps, plus the end-to-end execution campaign
+// hash agg, nested-loops join) over a 50k-row synthetic catalog, mirroring
+// the repository benchmark BenchmarkEngineOps, plus the end-to-end execution campaign
 // (suite Run over a scale-10 TPC-H catalog, mirroring
 // BenchmarkSuiteRunEngines). Each workload is measured `rounds` times per
 // engine with the engines interleaved round by round, so drift hits both
@@ -175,7 +175,20 @@ func execBenchPlans() []execBenchPlan {
 			{Op: scalar.AggCountStar, Out: 20},
 			{Op: scalar.AggSum, Arg: &scalar.ColRef{ID: 3}, Out: 21},
 		}}
+	// A theta join no hash key can serve, over the filtered fact rows and a
+	// 5-row dimension subset: 25k × 5 = 125k candidate pairs, small enough
+	// that the row baseline still runs at least ten iterations per
+	// benchmark second.
+	dimSubset := &physical.Expr{Op: physical.OpFilter, Children: []*physical.Expr{scanD},
+		Filter: &scalar.Cmp{Op: scalar.CmpLT, L: &scalar.ColRef{ID: 6}, R: &scalar.Const{D: datum.NewInt(5)}}}
+	nljoin := &physical.Expr{Op: physical.OpNLJoin, JoinType: physical.JoinInner,
+		Children: []*physical.Expr{filter, dimSubset},
+		On: &scalar.And{Kids: []scalar.Expr{
+			&scalar.Cmp{Op: scalar.CmpEQ, L: &scalar.ColRef{ID: 2}, R: &scalar.ColRef{ID: 5}},
+			&scalar.Cmp{Op: scalar.CmpLT, L: &scalar.ColRef{ID: 1}, R: &scalar.ColRef{ID: 4}},
+		}}}
 	return []execBenchPlan{
 		{"scan", scanF}, {"filter", filter}, {"project", project}, {"join", join}, {"agg", agg},
+		{"nljoin", nljoin},
 	}
 }

@@ -9,25 +9,30 @@ import (
 )
 
 // The batch engine converts the hot operators — scan, filter, project, hash
-// join, hash aggregation — to columnar processing: operators exchange Batches
-// of column vectors instead of single rows, amortizing interpretation
-// overhead and eliminating the per-row key-string and combined-row
-// allocations of the Volcano engine. Operators without a columnar
-// implementation (sort, limit, concat, merge join, nested-loops join) still
-// run row-at-a-time inside the same plan through adapter shims, and the row
+// and nested-loops join, hash aggregation — to columnar processing:
+// operators exchange Batches of column vectors instead of single rows,
+// amortizing interpretation overhead and eliminating the per-row key-string
+// and combined-row allocations of the Volcano engine. The nested-loops join is
+// the keyless case of the batch hash join (batchjoin.go). Operators without a
+// columnar implementation (sort, limit, concat, merge join) still run
+// row-at-a-time inside the same plan through adapter shims, and the row
 // engine remains available as EngineRow — the differential golden tests pin
 // the two engines to identical results, identical emission order and
 // identical budget verdicts.
 
 const (
 	// batchSize is the nominal number of rows per batch. Scans and adapters
-	// emit at most this many rows per batch; joins may emit up to candidateCap
-	// rows when a probe chunk is match-dense.
+	// emit at most this many rows per batch; a join chunk may emit up to
+	// chunkCells matches plus one fallout row for each of its at most
+	// batchSize probe rows.
 	batchSize = 1024
-	// candidateCap bounds the candidate join pairs gathered per probe chunk,
-	// which bounds the memory a match-heavy (e.g. dropped-predicate) join can
-	// pin regardless of fan-out.
-	candidateCap = 4096
+	// chunkCells bounds the datums a join chunk gathers: predicate columns
+	// for every candidate pair plus full-width rows for the passing ones. A
+	// join gathering w datums per pair takes chunkCells/w pairs per chunk, so
+	// the memory a match-heavy (e.g. dropped-predicate) join pins is bounded
+	// regardless of fan-out, and a wide join's chunk pins no more than a
+	// narrow one's.
+	chunkCells = 4096
 )
 
 // denseIota is the shared read-only selection vector operators producing
@@ -35,7 +40,7 @@ const (
 // operator emits: a left join's candidate matches plus one fallout row per
 // probe row.
 var denseIota = func() []int {
-	s := make([]int, candidateCap+batchSize)
+	s := make([]int, chunkCells+batchSize)
 	for i := range s {
 		s[i] = i
 	}
@@ -77,7 +82,7 @@ type Engine int
 // Available engines.
 const (
 	// EngineBatch executes hot operators columnar with row-at-a-time shims
-	// for the rest. The default.
+	// for sort, limit, concat and merge join. The default.
 	EngineBatch Engine = iota
 	// EngineRow is the original Volcano row-at-a-time engine, retained as
 	// the differential baseline.
@@ -204,7 +209,7 @@ func gatherRows(b *Batch) []datum.Row {
 func batchNative(op physical.Op) bool {
 	switch op {
 	case physical.OpScan, physical.OpFilter, physical.OpProject,
-		physical.OpHashJoin, physical.OpHashAgg, physical.OpSortAgg:
+		physical.OpHashJoin, physical.OpNLJoin, physical.OpHashAgg, physical.OpSortAgg:
 		return true
 	}
 	return false
@@ -249,7 +254,7 @@ func buildBatchIter(plan *physical.Expr, cat *catalog.Catalog, budget *int64) (B
 			child: child, items: plan.Projs,
 			ve: scalar.VecEval{Env: envOf(plan.Children[0].OutputCols())},
 		}
-	case physical.OpHashJoin:
+	case physical.OpHashJoin, physical.OpNLJoin:
 		left, err := buildBatchIter(plan.Children[0], cat, budget)
 		if err != nil {
 			return nil, err

@@ -63,11 +63,24 @@ func benchPlans() []struct {
 			{Op: scalar.AggCountStar, Out: 20},
 			{Op: scalar.AggSum, Arg: &scalar.ColRef{ID: 3}, Out: 21},
 		}}
+	// A theta join no hash key can serve, over the filtered fact rows and a
+	// 5-row dimension subset: 25k × 5 = 125k candidate pairs, small enough
+	// that the row baseline still runs at least ten iterations per
+	// benchmark second.
+	dimSubset := &physical.Expr{Op: physical.OpFilter, Children: []*physical.Expr{scanD},
+		Filter: &scalar.Cmp{Op: scalar.CmpLT, L: &scalar.ColRef{ID: 6}, R: &scalar.Const{D: datum.NewInt(5)}}}
+	nljoin := &physical.Expr{Op: physical.OpNLJoin, JoinType: physical.JoinInner,
+		Children: []*physical.Expr{filter, dimSubset},
+		On: &scalar.And{Kids: []scalar.Expr{
+			&scalar.Cmp{Op: scalar.CmpEQ, L: &scalar.ColRef{ID: 2}, R: &scalar.ColRef{ID: 5}},
+			&scalar.Cmp{Op: scalar.CmpLT, L: &scalar.ColRef{ID: 1}, R: &scalar.ColRef{ID: 4}},
+		}}}
 	return []struct {
 		name string
 		plan *physical.Expr
 	}{
 		{"scan", scanF}, {"filter", filter}, {"project", project}, {"join", join}, {"agg", agg},
+		{"nljoin", nljoin},
 	}
 }
 

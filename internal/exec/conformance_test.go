@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"qtrtest/internal/catalog"
@@ -11,9 +12,11 @@ import (
 )
 
 // confCatalog is testCatalog plus a FLOAT table for the numeric-widening
-// cases:
+// cases and a pair of tables for the semi/anti error-parity cases:
 //
 //	t3(f): 1.0, 2.5
+//	tl(k): 1
+//	tr(k, s): (1, NULL), (1, 'x')
 func confCatalog() *catalog.Catalog {
 	c := testCatalog()
 	t3 := &catalog.Table{
@@ -26,7 +29,46 @@ func confCatalog() *catalog.Catalog {
 	}
 	t3.ComputeStats()
 	c.Add(t3)
+	tl := &catalog.Table{
+		Name:    "tl",
+		Columns: []catalog.Column{{Name: "k", Type: datum.TypeInt}},
+		Rows:    []datum.Row{{datum.NewInt(1)}},
+	}
+	tl.ComputeStats()
+	c.Add(tl)
+	tr := &catalog.Table{
+		Name:    "tr",
+		Columns: []catalog.Column{{Name: "k", Type: datum.TypeInt}, {Name: "s", Type: datum.TypeString}},
+		Rows: []datum.Row{
+			{datum.NewInt(1), datum.Null},
+			{datum.NewInt(1), datum.NewString("x")},
+		},
+	}
+	tr.ComputeStats()
+	c.Add(tr)
 	return c
+}
+
+// stopAtFirstMatch joins tl to tr on tl.k = tr.k OR tr.s + 1 > 0. The first
+// candidate passes (TRUE OR UNKNOWN); the second would fail with
+// arithmetic on 'x'. A semi/anti row stops at its first passing candidate,
+// so no engine may raise that error.
+func stopAtFirstMatch(op physical.Op, jt physical.JoinType) *physical.Expr {
+	plan := &physical.Expr{
+		Op: op, JoinType: jt,
+		Children: []*physical.Expr{
+			{Op: physical.OpScan, Table: "tl", Cols: []scalar.ColumnID{6}},
+			{Op: physical.OpScan, Table: "tr", Cols: []scalar.ColumnID{7, 8}},
+		},
+		On: &scalar.Or{Kids: []scalar.Expr{
+			cmp(scalar.CmpEQ, col(6), col(7)),
+			cmp(scalar.CmpGT, &scalar.Arith{Op: scalar.ArithAdd, L: col(8), R: intc(1)}, intc(0)),
+		}},
+	}
+	if op == physical.OpHashJoin {
+		plan.EquiLeft, plan.EquiRight = []scalar.ColumnID{6}, []scalar.ColumnID{7}
+	}
+	return plan
 }
 
 func scanT3() *physical.Expr {
@@ -60,12 +102,13 @@ func row(ds ...datum.Datum) datum.Row { return datum.Row(ds) }
 func TestBackendConformance(t *testing.T) {
 	cat := confCatalog()
 	ni, nf, null := datum.NewInt, datum.NewFloat, datum.Null
-	cases := []struct {
+	type confCase struct {
 		name       string
 		plan       *physical.Expr
 		positional bool
 		want       []datum.Row
-	}{
+	}
+	cases := []confCase{
 		{
 			// b > 15: (3,NULL) evaluates UNKNOWN and is dropped.
 			name: "3vl-filter-drops-unknown",
@@ -276,6 +319,14 @@ func TestBackendConformance(t *testing.T) {
 			},
 			want: []datum.Row{row(ni(1), ni(3))},
 		},
+	}
+
+	for _, op := range []physical.Op{physical.OpHashJoin, physical.OpNLJoin} {
+		cases = append(cases,
+			confCase{name: fmt.Sprintf("%s-semi-stops-at-first-match", op), plan: stopAtFirstMatch(op, physical.JoinSemi),
+				want: []datum.Row{row(ni(1))}},
+			confCase{name: fmt.Sprintf("%s-anti-stops-at-first-match", op), plan: stopAtFirstMatch(op, physical.JoinAnti)},
+		)
 	}
 
 	engines := Engines()

@@ -142,12 +142,15 @@ func TestEngineDifferentialHandPlans(t *testing.T) {
 	}
 }
 
-// TestEngineChunkSpanningJoin drives the batch hash join past candidateCap so
-// probe rows span chunk boundaries: 200 probe rows × 300 matching build rows
-// is 60000 candidate pairs against a 4096-pair chunk, so most rows' match
+// TestEngineChunkSpanningJoin drives the batch hash and nested-loops joins
+// past their chunk size so probe rows span chunk boundaries: 200 probe rows
+// × 300 matching build rows is 60000 candidate pairs, far beyond one chunk
+// (chunkCells over the datums gathered per pair), so most rows' candidate
 // lists are split mid-row and the carried rowMatched / resume-cursor state is
-// what keeps semi/anti/left fallout correct. The existing small-table tests
-// never leave the first chunk.
+// what keeps semi/anti/left fallout correct. The left side interleaves
+// never-matching rows with match-heavy ones, so fallout lands between
+// spanning rows; the build side is also run as a filter (owned build
+// vectors rather than the bare-scan alias) and as an empty input.
 func TestEngineChunkSpanningJoin(t *testing.T) {
 	c := catalog.New()
 	mk := func(name string, rows int, key func(i int) datum.Datum) *catalog.Table {
@@ -180,6 +183,14 @@ func TestEngineChunkSpanningJoin(t *testing.T) {
 	}))
 	scanL := &physical.Expr{Op: physical.OpScan, Table: "big_l", Cols: []scalar.ColumnID{1, 2}}
 	scanR := &physical.Expr{Op: physical.OpScan, Table: "big_r", Cols: []scalar.ColumnID{3, 4}}
+	vAbove := func(n int64) *physical.Expr {
+		return &physical.Expr{Op: physical.OpFilter, Children: []*physical.Expr{scanR},
+			Filter: &scalar.Cmp{Op: scalar.CmpGT, L: &scalar.ColRef{ID: 4}, R: &scalar.Const{D: datum.NewInt(n)}}}
+	}
+	builds := []struct {
+		name string
+		plan *physical.Expr
+	}{{"scan", scanR}, {"filtered", vAbove(40)}, {"empty", vAbove(1000)}}
 	on := &scalar.Cmp{Op: scalar.CmpEQ, L: &scalar.ColRef{ID: 1}, R: &scalar.ColRef{ID: 3}}
 	// A residual that passes about half the candidates, so selection vectors
 	// inside chunks are partial rather than all-or-nothing.
@@ -189,24 +200,37 @@ func TestEngineChunkSpanningJoin(t *testing.T) {
 			L: &scalar.Arith{Op: scalar.ArithAdd, L: &scalar.ColRef{ID: 2}, R: &scalar.ColRef{ID: 4}},
 			R: &scalar.Const{D: datum.NewInt(250)}},
 	}}
-	for _, jt := range []physical.JoinType{physical.JoinInner, physical.JoinLeft, physical.JoinSemi, physical.JoinAnti} {
-		for _, pred := range []struct {
-			name string
-			on   scalar.Expr
-		}{{"equi", on}, {"residual", residual}} {
-			t.Run(fmt.Sprintf("%s-%s", jt, pred.name), func(t *testing.T) {
-				plan := &physical.Expr{
-					Op: physical.OpHashJoin, JoinType: jt,
-					Children:  []*physical.Expr{scanL, scanR},
-					On:        pred.on,
-					EquiLeft:  []scalar.ColumnID{1},
-					EquiRight: []scalar.ColumnID{3},
+	for _, op := range []physical.Op{physical.OpHashJoin, physical.OpNLJoin} {
+		for _, build := range builds {
+			for _, jt := range []physical.JoinType{physical.JoinInner, physical.JoinLeft, physical.JoinSemi, physical.JoinAnti} {
+				for _, pred := range []struct {
+					name string
+					on   scalar.Expr
+				}{{"equi", on}, {"residual", residual}} {
+					// The hash join over the bare scan keeps the subtest names
+					// it had before the other variants were added.
+					name := fmt.Sprintf("%s-%s", jt, pred.name)
+					if op != physical.OpHashJoin || build.name != "scan" {
+						name = fmt.Sprintf("%s-%s-%s", op, build.name, name)
+					}
+					t.Run(name, func(t *testing.T) {
+						plan := &physical.Expr{
+							Op: op, JoinType: jt,
+							Children:  []*physical.Expr{scanL, build.plan},
+							On:        pred.on,
+							EquiLeft:  []scalar.ColumnID{1},
+							EquiRight: []scalar.ColumnID{3},
+						}
+						rows := runEngines(t, plan, c)
+						if jt == physical.JoinInner && pred.name == "equi" && build.name == "scan" && len(rows) <= chunkCells {
+							t.Fatalf("test is not chunk-spanning: %d rows", len(rows))
+						}
+						if build.name == "empty" && (jt == physical.JoinLeft || jt == physical.JoinAnti) && len(rows) != 200 {
+							t.Fatalf("empty build side: %d rows, want every probe row as fallout", len(rows))
+						}
+					})
 				}
-				rows := runEngines(t, plan, c)
-				if jt == physical.JoinInner && pred.name == "equi" && len(rows) <= candidateCap {
-					t.Fatalf("test is not chunk-spanning: %d rows", len(rows))
-				}
-			})
+			}
 		}
 	}
 }

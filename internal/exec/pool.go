@@ -23,17 +23,20 @@ import (
 //     this by pre-poisoning the pools.
 //   - Never pool aliased storage. Selection vectors that alias the shared
 //     read-only denseIota (equi joins slice it directly) are rejected by
-//     putSel's base-pointer guard, and the hash join only returns its build
-//     vectors when it owns them (the bare-scan fast path aliases the
-//     catalog's cached column vectors, which must never enter a pool).
+//     putSel's and putJoinScratch's base-pointer guards, and the batch join
+//     pools only the build vectors it filled itself (the bare-scan fast
+//     path aliases the catalog's cached column vectors, which must never
+//     enter a pool).
 //
-// Pools hold slices directly; the slice-header box a Put allocates is noise
-// next to the vector growth it saves.
+// These pools hold slices directly; the slice-header box a Put allocates is
+// noise next to the vector growth it saves for scans, filters, projections
+// and aggregations. The batch join, which campaigns run hundreds of
+// thousands of times over tiny inputs, pools its whole working set as one
+// *joinScratch instead (batchjoin.go), under the same reset-on-get rule.
 
 var (
 	vecsPool sync.Pool // []datum.Vec
 	selPool  sync.Pool // []int
-	boolPool sync.Pool // []bool
 )
 
 // getVecs returns a vector slice of the given width with every element
@@ -74,22 +77,4 @@ func putSel(s []int) {
 		return
 	}
 	selPool.Put(s[:0])
-}
-
-// getBools returns a flag slice of length n. Contents are unspecified — the
-// caller zeroes what it reads, exactly as it must when growing mid-stream.
-func getBools(n int) []bool {
-	b, _ := boolPool.Get().([]bool)
-	if cap(b) < n {
-		return make([]bool, n)
-	}
-	return b[:n]
-}
-
-// putBools recycles a flag slice.
-func putBools(b []bool) {
-	if cap(b) == 0 {
-		return
-	}
-	boolPool.Put(b[:0])
 }

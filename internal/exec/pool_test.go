@@ -33,20 +33,47 @@ func poisonPools(tb testing.TB) {
 			sel[k] = 1 << 30
 		}
 		selPool.Put(sel)
+	}
+	// A plan holds a handful of joins at most, so a few poisoned working
+	// sets cover every join that acquires one.
+	for i := 0; i < 8; i++ {
+		sel := make([]int, 5000)
+		for k := range sel {
+			sel[k] = 1 << 30
+		}
+		ints := func() []int { return append([]int(nil), sel...) }
+		cols := func() []datum.Vec {
+			out := make([]datum.Vec, 9)
+			for c := range out {
+				for k := 0; k < 2000; k++ {
+					out[c].Append(datum.NewInt(int64(-777 - k)))
+				}
+				out[c].Append(datum.Null)
+			}
+			return out
+		}
 		flags := make([]bool, 3000)
 		for k := range flags {
 			flags[k] = true
 		}
-		boolPool.Put(flags)
+		// Every buffer is poisoned on its own storage, as a real previous
+		// owner would leave it.
+		joinPool.Put(&joinScratch{
+			predSlots: ints(), rowMatched: flags,
+			keyBuf: []byte("stale-key"), buildVecs: cols(), candVecs: cols(), outVecs: cols(),
+			keep: ints(), candL: ints(), candR: ints(), sel: ints(), outL: ints(), outR: ints(), outIdx: ints(),
+			segs: []joinSeg{{li: 1 << 30, start: 3, end: 1, final: true}},
+		})
 	}
 }
 
 // TestPoolPoisonIsInvisible is the pooled-scratch hygiene guard: with every
 // pool poisoned before each execution, batch results must still match the row
 // engine (which uses none of the pools) on plans covering every pooled
-// operator — filter selections, project vectors, join candidate/output/build
-// vectors and match flags, aggregate argument/result vectors, and the
-// row-adapter vectors behind sort.
+// operator — filter selections, project vectors, the hash and nested-loops
+// joins' pooled working sets (candidate/output/build vectors, selections,
+// match flags), aggregate argument/result vectors, and the row-adapter
+// vectors behind sort.
 func TestPoolPoisonIsInvisible(t *testing.T) {
 	cat := testCatalog()
 	agg := func(child *physical.Expr) *physical.Expr {
@@ -73,16 +100,23 @@ func TestPoolPoisonIsInvisible(t *testing.T) {
 	}
 	for _, jt := range []physical.JoinType{physical.JoinInner, physical.JoinLeft, physical.JoinSemi, physical.JoinAnti} {
 		plans[fmt.Sprintf("hashjoin-%s", jt)] = joinPlan(physical.OpHashJoin, jt)
+		plans[fmt.Sprintf("nljoin-%s", jt)] = joinPlan(physical.OpNLJoin, jt)
 	}
 	// Residual predicate forces the EvalPred selection path (the equi fast
 	// path never writes into sel); filter under the build side forces the
 	// owned build vectors instead of the bare-scan alias.
-	residual := joinPlan(physical.OpHashJoin, physical.JoinLeft)
-	residual.Children[1] = &physical.Expr{
-		Op: physical.OpFilter, Children: []*physical.Expr{residual.Children[1]},
-		Filter: &scalar.Cmp{Op: scalar.CmpNE, L: &scalar.ColRef{ID: 4}, R: &scalar.Const{D: datum.NewString("uno")}},
+	built := func(op physical.Op, jt physical.JoinType) *physical.Expr {
+		plan := joinPlan(op, jt)
+		plan.Children[1] = &physical.Expr{
+			Op: physical.OpFilter, Children: []*physical.Expr{plan.Children[1]},
+			Filter: &scalar.Cmp{Op: scalar.CmpNE, L: &scalar.ColRef{ID: 4}, R: &scalar.Const{D: datum.NewString("uno")}},
+		}
+		return plan
 	}
-	plans["hashjoin-built"] = residual
+	plans["hashjoin-built"] = built(physical.OpHashJoin, physical.JoinLeft)
+	plans["hashjoin-built-anti"] = built(physical.OpHashJoin, physical.JoinAnti)
+	plans["nljoin-built"] = built(physical.OpNLJoin, physical.JoinLeft)
+	plans["nljoin-built-anti"] = built(physical.OpNLJoin, physical.JoinAnti)
 
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {

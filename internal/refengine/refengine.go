@@ -246,7 +246,9 @@ func (ev *evaluator) evalOp(e *logical.Expr) ([]datum.Row, error) {
 // both sides, test the predicate on every pair. A pair matches only when the
 // predicate is TRUE; UNKNOWN and FALSE both reject, so NULL join keys never
 // match. LeftJoin pads unmatched left rows with NULLs, SemiJoin emits a left
-// row on its first match, AntiJoin emits it when no pair matched.
+// row on its first match, AntiJoin emits it when no pair matched. A semi or
+// anti left row stops at its first match, so a predicate error on a later
+// pair is never raised, as in both production engines.
 func (ev *evaluator) evalJoin(e *logical.Expr) ([]datum.Row, error) {
 	left, err := ev.eval(e.Children[0])
 	if err != nil {
@@ -288,8 +290,8 @@ func (ev *evaluator) evalJoin(e *logical.Expr) ([]datum.Row, error) {
 			case logical.OpSemiJoin:
 				out = append(out, l)
 			}
-			if e.Op == logical.OpSemiJoin {
-				break
+			if e.Op == logical.OpSemiJoin || e.Op == logical.OpAntiJoin {
+				break // the left row is decided; later pairs are never evaluated
 			}
 		}
 		if !matched && e.Op == logical.OpLeftJoin {
