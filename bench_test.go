@@ -269,10 +269,9 @@ func BenchmarkParallelGraphBuild(b *testing.B) {
 }
 
 // BenchmarkSuiteRunEngines measures the execution campaign — running a
-// compressed suite's differential tests over the catalog — on the row and
-// batch engines. The suite is generated once at a larger scale so plan
-// execution (not generation) dominates; reports are identical across
-// sub-benchmarks by the engines' differential contract.
+// compressed suite's differential tests over the catalog — on the batch
+// engine. The suite is generated once at a larger scale so plan execution
+// (not generation) dominates.
 func BenchmarkSuiteRunEngines(b *testing.B) {
 	db := OpenTPCH(10, 42)
 	g, err := db.GenerateSuite(PairTargets(db.ExplorationRuleIDs(5)),
@@ -284,15 +283,12 @@ func BenchmarkSuiteRunEngines(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, eng := range []exec.Engine{exec.EngineRow, exec.EngineBatch} {
-		b.Run(eng.String(), func(b *testing.B) {
-			g.SetEngine(eng)
-			for i := 0; i < b.N; i++ {
-				if _, err := g.Run(sol, db.Optimizer, db.Catalog); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	g.SetEngine(exec.EngineBatch)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Run(sol, db.Optimizer, db.Catalog); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -50,8 +50,8 @@ const benchQuery = `SELECT c_nationkey, COUNT(*) AS cnt
 
 // cmdBench measures the optimizer hot path and the end-to-end graph-build
 // pipeline with testing.Benchmark and writes a qtrtest-bench/v1 JSON report.
-// With -exec it instead measures the execution engines (batch vs the row
-// baseline; see benchExecReport) and defaults the output to BENCH_exec.json.
+// With -exec it instead measures the batch execution engine (see
+// benchExecReport) and defaults the output to BENCH_exec.json.
 // With -campaign it measures the campaign pipelines with the plan-result
 // cache on (Benchmarks) against cache off (Baseline; see benchCampaignReport)
 // and defaults the output to BENCH_campaign.json.
@@ -60,7 +60,7 @@ func cmdBench(db *qtrtest.DB, args []string) error {
 	out := fs.String("o", "", "output file (- for stdout; defaults per mode)")
 	commit := fs.String("commit", "", "optional commit label recorded in the report")
 	graph := fs.Bool("graph", true, "include the end-to-end graph-build benchmark (slow)")
-	execMode := fs.Bool("exec", false, "benchmark the execution engines (row vs batch) instead of the optimizer")
+	execMode := fs.Bool("exec", false, "benchmark the batch execution engine instead of the optimizer")
 	campaignMode := fs.Bool("campaign", false, "benchmark the campaign pipelines with the result cache on vs off instead of the optimizer")
 	rounds := fs.Int("rounds", 3, "interleaved measurement rounds per arm in -exec/-campaign mode")
 	if err := fs.Parse(args); err != nil {

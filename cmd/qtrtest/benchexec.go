@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -16,17 +15,17 @@ import (
 	"qtrtest/internal/scalar"
 )
 
-// benchExecReport measures the execution engines — the batch engine against
-// the retained row engine — and returns a qtrtest-bench/v1 report with the
-// batch numbers in Benchmarks and the row numbers in the Baseline block.
+// benchExecReport measures the batch engine and returns a
+// qtrtest-bench/v1 report with its numbers in Benchmarks.
 //
-// Workloads: one plan per hot operator (scan, filter, project, hash join,
-// hash agg, nested-loops join) over a 50k-row synthetic catalog, mirroring
-// the repository benchmark BenchmarkEngineOps, plus the end-to-end execution campaign
-// (suite Run over a scale-10 TPC-H catalog, mirroring
-// BenchmarkSuiteRunEngines). Each workload is measured `rounds` times per
-// engine with the engines interleaved round by round, so drift hits both
-// sides equally, and the report records the median round.
+// Workloads: one plan per physical operator (scan, filter, project, hash
+// join, hash agg, nested-loops join, sort, limit, concat, merge join) over a
+// 50k-row synthetic catalog, mirroring the repository benchmark
+// BenchmarkEngineOps, plus the end-to-end execution campaign (suite Run over
+// a scale-10 TPC-H catalog, mirroring BenchmarkSuiteRunEngines). Each
+// workload is measured `rounds` times, workloads interleaved round by round
+// so drift spreads over all of them, and the report records the median
+// round.
 func benchExecReport(commit string, rounds int) (*benchReport, error) {
 	cat := execBenchCatalog(50000)
 	plans := execBenchPlans()
@@ -44,16 +43,16 @@ func benchExecReport(commit string, rounds int) (*benchReport, error) {
 
 	type workload struct {
 		name string
-		run  func(eng exec.Engine, b *testing.B)
+		run  func(b *testing.B)
 	}
 	workloads := make([]workload, 0, len(plans)+1)
 	for _, p := range plans {
 		plan := p.plan
 		workloads = append(workloads, workload{
 			name: "Exec/" + p.name,
-			run: func(eng exec.Engine, b *testing.B) {
+			run: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := exec.RunEngine(eng, plan, cat, 0, 0); err != nil {
+					if _, err := exec.RunEngine(exec.EngineBatch, plan, cat, 0, 0); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -62,8 +61,8 @@ func benchExecReport(commit string, rounds int) (*benchReport, error) {
 	}
 	workloads = append(workloads, workload{
 		name: "Campaign/SuiteRun",
-		run: func(eng exec.Engine, b *testing.B) {
-			g.SetEngine(eng)
+		run: func(b *testing.B) {
+			g.SetEngine(exec.EngineBatch)
 			for i := 0; i < b.N; i++ {
 				if _, err := g.Run(sol, db.Optimizer, db.Catalog); err != nil {
 					b.Fatal(err)
@@ -72,28 +71,20 @@ func benchExecReport(commit string, rounds int) (*benchReport, error) {
 		},
 	})
 
-	engines := []exec.Engine{exec.EngineRow, exec.EngineBatch}
-	samples := make(map[string]map[exec.Engine][]benchEntry)
-	for _, w := range workloads {
-		samples[w.name] = make(map[exec.Engine][]benchEntry)
-	}
+	samples := make(map[string][]benchEntry)
 	for r := 0; r < rounds; r++ {
-		for _, eng := range engines {
-			for _, w := range workloads {
-				w := w
-				eng := eng
-				res := testing.Benchmark(func(b *testing.B) {
-					b.ReportAllocs()
-					w.run(eng, b)
-				})
-				samples[w.name][eng] = append(samples[w.name][eng], benchEntry{
-					Name:        w.name,
-					Iterations:  res.N,
-					NsPerOp:     float64(res.NsPerOp()),
-					BytesPerOp:  res.AllocedBytesPerOp(),
-					AllocsPerOp: res.AllocsPerOp(),
-				})
-			}
+		for _, w := range workloads {
+			res := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				w.run(b)
+			})
+			samples[w.name] = append(samples[w.name], benchEntry{
+				Name:        w.name,
+				Iterations:  res.N,
+				NsPerOp:     float64(res.NsPerOp()),
+				BytesPerOp:  res.AllocedBytesPerOp(),
+				AllocsPerOp: res.AllocsPerOp(),
+			})
 		}
 	}
 
@@ -101,15 +92,9 @@ func benchExecReport(commit string, rounds int) (*benchReport, error) {
 		Schema:    "qtrtest-bench/v1",
 		GoVersion: runtime.Version(),
 		Commit:    commit,
-		Baseline: &baselineBlock{
-			Commit: commit,
-			Note: fmt.Sprintf("row engine (EngineRow) on the same commit; "+
-				"median of %d rounds, engines interleaved per round", rounds),
-		},
 	}
 	for _, w := range workloads {
-		report.Benchmarks = append(report.Benchmarks, medianEntry(samples[w.name][exec.EngineBatch]))
-		report.Baseline.Benchmarks = append(report.Baseline.Benchmarks, medianEntry(samples[w.name][exec.EngineRow]))
+		report.Benchmarks = append(report.Benchmarks, medianEntry(samples[w.name]))
 	}
 	return report, nil
 }
@@ -176,9 +161,7 @@ func execBenchPlans() []execBenchPlan {
 			{Op: scalar.AggSum, Arg: &scalar.ColRef{ID: 3}, Out: 21},
 		}}
 	// A theta join no hash key can serve, over the filtered fact rows and a
-	// 5-row dimension subset: 25k × 5 = 125k candidate pairs, small enough
-	// that the row baseline still runs at least ten iterations per
-	// benchmark second.
+	// 5-row dimension subset: 25k × 5 = 125k candidate pairs.
 	dimSubset := &physical.Expr{Op: physical.OpFilter, Children: []*physical.Expr{scanD},
 		Filter: &scalar.Cmp{Op: scalar.CmpLT, L: &scalar.ColRef{ID: 6}, R: &scalar.Const{D: datum.NewInt(5)}}}
 	nljoin := &physical.Expr{Op: physical.OpNLJoin, JoinType: physical.JoinInner,
@@ -187,8 +170,21 @@ func execBenchPlans() []execBenchPlan {
 			&scalar.Cmp{Op: scalar.CmpEQ, L: &scalar.ColRef{ID: 2}, R: &scalar.ColRef{ID: 5}},
 			&scalar.Cmp{Op: scalar.CmpLT, L: &scalar.ColRef{ID: 1}, R: &scalar.ColRef{ID: 4}},
 		}}}
+	// The operators that ran row-at-a-time behind adapter shims before every
+	// operator was batch-native: a two-key sort and a concat over the
+	// filtered fact rows, a merge join on the hash join's keys, and a Limit
+	// over the hash join, which pulls one probe row at a time.
+	sortOp := &physical.Expr{Op: physical.OpSort, Children: []*physical.Expr{filter},
+		Keys: []logical.SortKey{{Col: 2}, {Col: 1, Desc: true}}}
+	concat := &physical.Expr{Op: physical.OpConcat, Children: []*physical.Expr{filter, scanD},
+		OutCols: []scalar.ColumnID{30, 31}, InputCols: [][]scalar.ColumnID{{1, 2}, {4, 5}}}
+	mergejoin := &physical.Expr{Op: physical.OpMergeJoin, JoinType: physical.JoinInner,
+		Children: []*physical.Expr{filter, scanD},
+		On:       &scalar.Cmp{Op: scalar.CmpEQ, L: &scalar.ColRef{ID: 1}, R: &scalar.ColRef{ID: 4}},
+		EquiLeft: []scalar.ColumnID{1}, EquiRight: []scalar.ColumnID{4}}
+	limit := &physical.Expr{Op: physical.OpLimit, N: 1000, Children: []*physical.Expr{join}}
 	return []execBenchPlan{
 		{"scan", scanF}, {"filter", filter}, {"project", project}, {"join", join}, {"agg", agg},
-		{"nljoin", nljoin},
+		{"nljoin", nljoin}, {"sort", sortOp}, {"limit", limit}, {"concat", concat}, {"mergejoin", mergejoin},
 	}
 }

@@ -141,7 +141,7 @@ func (g *Graph) SetEngine(e exec.Engine) { g.engine = e }
 func (g *Graph) SetCache(c *rescache.Cache) { g.cache = c }
 
 // SetBackend enables the independent-backend cross-check: Run additionally
-// replays every distinct base query on the named engine ("ref", "row",
+// replays every distinct base query on the named engine ("ref" or
 // "batch") and reports disagreements. An empty name disables the check
 // (the default); reports are byte-identical to a backend-less run then.
 func (g *Graph) SetBackend(name string) error {

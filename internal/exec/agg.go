@@ -2,25 +2,10 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"qtrtest/internal/datum"
 	"qtrtest/internal/scalar"
 )
-
-// aggIter implements grouped and scalar aggregation. Grouping is hash-based;
-// with sorted=true output groups are emitted in group-key order (matching the
-// determinism of a stream aggregate fed by a sort).
-type aggIter struct {
-	child     Iterator
-	groupCols []scalar.ColumnID
-	aggs      []scalar.Agg
-	env       scalar.Env
-	sorted    bool
-
-	out []datum.Row
-	pos int
-}
 
 // aggState accumulates one aggregate over one group.
 type aggState struct {
@@ -99,96 +84,10 @@ func (s *aggState) result(op scalar.AggOp) datum.Datum {
 	return datum.Null
 }
 
+// aggGroup is one group of an aggregation: its key, its group-column values
+// and one accumulator per aggregate.
 type aggGroup struct {
 	key    string
 	rep    datum.Row // group column values
 	states []*aggState
 }
-
-func (a *aggIter) Open() error {
-	if err := a.child.Open(); err != nil {
-		return err
-	}
-	slots := make([]int, len(a.groupCols))
-	for i, c := range a.groupCols {
-		s, ok := a.env[c]
-		if !ok {
-			return fmt.Errorf("exec: grouping column c%d not in input", c)
-		}
-		slots[i] = s
-	}
-	groups := make(map[string]*aggGroup)
-	var order []*aggGroup
-	var keyBuf []byte
-	for {
-		row, err := a.child.Next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			break
-		}
-		keyBuf = keyBuf[:0]
-		rep := make(datum.Row, len(slots))
-		for i, s := range slots {
-			rep[i] = row[s]
-			keyBuf = rep[i].AppendKey(keyBuf)
-		}
-		g, ok := groups[string(keyBuf)]
-		if !ok {
-			g = &aggGroup{key: string(keyBuf), rep: rep, states: make([]*aggState, len(a.aggs))}
-			for i := range g.states {
-				g.states[i] = newAggState()
-			}
-			groups[g.key] = g
-			order = append(order, g)
-		}
-		for i, ag := range a.aggs {
-			var d datum.Datum
-			if ag.Op != scalar.AggCountStar {
-				var err error
-				d, err = scalar.Eval(ag.Arg, row, a.env)
-				if err != nil {
-					return err
-				}
-			}
-			if err := g.states[i].add(d, ag.Op); err != nil {
-				return err
-			}
-		}
-	}
-	// Scalar aggregation over empty input yields one row (COUNT=0, others
-	// NULL), per SQL semantics.
-	if len(a.groupCols) == 0 && len(order) == 0 {
-		g := &aggGroup{states: make([]*aggState, len(a.aggs))}
-		for i := range g.states {
-			g.states[i] = newAggState()
-		}
-		order = append(order, g)
-	}
-	if a.sorted {
-		sort.Slice(order, func(i, j int) bool { return order[i].key < order[j].key })
-	}
-	a.out = a.out[:0]
-	for _, g := range order {
-		row := make(datum.Row, 0, len(a.groupCols)+len(a.aggs))
-		row = append(row, g.rep...)
-		for i, ag := range a.aggs {
-			row = append(row, g.states[i].result(ag.Op))
-		}
-		a.out = append(a.out, row)
-	}
-	a.pos = 0
-	return nil
-}
-
-func (a *aggIter) Next() (datum.Row, error) {
-	if a.pos >= len(a.out) {
-		return nil, nil
-	}
-	row := a.out[a.pos]
-	a.pos++
-	return row, nil
-}
-
-func (a *aggIter) Close() error { return a.child.Close() }

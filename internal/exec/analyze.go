@@ -66,27 +66,9 @@ func (s *OpStats) String() string {
 	return sb.String()
 }
 
-// countingIter wraps an iterator, counting emitted rows.
-type countingIter struct {
-	Iterator
-	stats *OpStats
-}
-
-func (c *countingIter) Open() error {
-	c.stats.ActRows = 0
-	return c.Iterator.Open()
-}
-
-func (c *countingIter) Next() (datum.Row, error) {
-	row, err := c.Iterator.Next()
-	if row != nil {
-		c.stats.ActRows++
-	}
-	return row, err
-}
-
-// buildAnalyze compiles the plan with a counting wrapper at every operator.
-func buildAnalyze(plan *physical.Expr, cat *catalog.Catalog) (Iterator, *OpStats, error) {
+// newOpStats returns the analyze node of one plan operator, before
+// execution.
+func newOpStats(plan *physical.Expr) *OpStats {
 	stats := &OpStats{Op: plan.Op, EstRows: plan.Rows}
 	switch plan.Op {
 	case physical.OpScan:
@@ -94,71 +76,19 @@ func buildAnalyze(plan *physical.Expr, cat *catalog.Catalog) (Iterator, *OpStats
 	case physical.OpHashJoin, physical.OpNLJoin, physical.OpMergeJoin:
 		stats.Detail = plan.JoinType.String()
 	}
-	kids := make([]Iterator, len(plan.Children))
-	for i, c := range plan.Children {
-		kidIt, kidStats, err := buildAnalyze(c, cat)
-		if err != nil {
-			return nil, nil, err
-		}
-		kids[i] = kidIt
-		stats.Children = append(stats.Children, kidStats)
-	}
-	// Rebuild this operator over the instrumented children by building a
-	// shallow copy whose children are already-built iterators. Build
-	// compiles children itself, so construct the operator directly instead.
-	it, err := buildOver(plan, kids, cat)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &countingIter{Iterator: it, stats: stats}, stats, nil
+	return stats
 }
 
-// buildOver constructs one operator over pre-built child iterators; it
-// mirrors Build's dispatch.
-func buildOver(plan *physical.Expr, kids []Iterator, cat *catalog.Catalog) (Iterator, error) {
-	switch plan.Op {
-	case physical.OpScan:
-		t, err := cat.Table(plan.Table)
-		if err != nil {
-			return nil, err
-		}
-		return &scanIter{table: t}, nil
-	case physical.OpFilter:
-		return &filterIter{child: kids[0], pred: plan.Filter, env: envOf(plan.Children[0].OutputCols())}, nil
-	case physical.OpProject:
-		return &projectIter{child: kids[0], items: plan.Projs, env: envOf(plan.Children[0].OutputCols())}, nil
-	case physical.OpHashJoin:
-		return newHashJoin(plan, kids[0], kids[1]), nil
-	case physical.OpNLJoin:
-		return newNLJoin(plan, kids[0], kids[1]), nil
-	case physical.OpMergeJoin:
-		if plan.JoinType != physical.JoinInner {
-			return nil, fmt.Errorf("exec: merge join supports inner joins only, got %s", plan.JoinType)
-		}
-		return newMergeJoin(plan, kids[0], kids[1]), nil
-	case physical.OpHashAgg, physical.OpSortAgg:
-		return &aggIter{
-			child: kids[0], groupCols: plan.GroupCols, aggs: plan.Aggs,
-			env: envOf(plan.Children[0].OutputCols()), sorted: plan.Op == physical.OpSortAgg,
-		}, nil
-	case physical.OpSort:
-		return &sortIter{child: kids[0], keys: plan.Keys, env: envOf(plan.Children[0].OutputCols())}, nil
-	case physical.OpLimit:
-		return &limitIter{child: kids[0], n: plan.N}, nil
-	case physical.OpConcat:
-		return &concatIter{plan: plan, kids: kids}, nil
-	}
-	return nil, fmt.Errorf("exec: unsupported physical operator %s", plan.Op)
-}
-
-// RunAnalyze executes the plan with per-operator row counting and returns
-// the rows plus the analyze tree (estimated versus actual cardinalities).
+// RunAnalyze executes the plan counting the rows every operator emits and
+// returns the rows plus the analyze tree (estimated versus actual
+// cardinalities). It runs the same engine as Run.
 func RunAnalyze(plan *physical.Expr, cat *catalog.Catalog) ([]datum.Row, *OpStats, error) {
-	it, stats, err := buildAnalyze(plan, cat)
+	stats := newOpStats(plan)
+	it, err := buildBatchIter(plan, cat, nil, stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	rows, err := runIter(it, 0)
+	rows, err := runBatch(it, 0)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -12,11 +12,11 @@ import (
 	"qtrtest/internal/refengine"
 )
 
-// A Backend is an execution engine that lives outside the in-process
-// row/batch iterator machinery. The two built-in engines (EngineRow,
-// EngineBatch) share one physical-plan compiler and one scalar evaluator;
-// a Backend deliberately does not, so comparing its results against theirs
-// breaks the self-differential circularity of the campaign oracles.
+// A Backend is an execution engine that lives outside this package's batch
+// engine (EngineBatch). The batch engine's physical-plan compiler and scalar
+// evaluator are the code under test; a Backend deliberately shares neither,
+// so comparing its results against the batch engine's breaks the
+// self-differential circularity of the campaign oracles.
 //
 // The contract every Backend must honor:
 //
@@ -24,7 +24,7 @@ import (
 //     so an optimizer fault cannot be faithfully replayed into the
 //     cross-check. RunPlan evaluates a physical plan by translating it back
 //     to its logical form (Delower); oracles use it when the backend should
-//     re-execute exactly what a built-in engine ran.
+//     re-execute exactly what the batch engine ran.
 //   - Budgets: exceeding maxRows or maxWork must surface as ErrRowLimit.
 //     Work accounting is backend-specific, so oracles treat a budget trip on
 //     either side as Capped and skip the comparison (DESIGN.md §15) — caps
@@ -43,8 +43,7 @@ import (
 // and mapping result values back to datums — no oracle call site changes,
 // only a RegisterBackend call (see DESIGN.md §15 for the seam).
 type Backend interface {
-	// Engine returns the backend's engine ID (distinct from EngineRow and
-	// EngineBatch).
+	// Engine returns the backend's engine ID (distinct from EngineBatch).
 	Engine() Engine
 	// Name returns the engine name as spelled in reports, cache keys and
 	// the -backend CLI flag.
@@ -61,13 +60,13 @@ var backends []Backend
 
 // RegisterBackend makes a backend available to RunEngine, RunTree and
 // EngineByName. It is meant to be called from package init; duplicate
-// engine IDs or names, and attempts to shadow the built-in engines, panic.
+// engine IDs or names, and attempts to shadow the batch engine, panic.
 func RegisterBackend(b Backend) {
-	if b.Engine() == EngineRow || b.Engine() == EngineBatch {
-		panic(fmt.Sprintf("exec: backend %q cannot use built-in engine id %d", b.Name(), b.Engine()))
+	if b.Engine() == EngineBatch {
+		panic(fmt.Sprintf("exec: backend %q cannot use the batch engine's id %d", b.Name(), b.Engine()))
 	}
-	if b.Name() == "row" || b.Name() == "batch" {
-		panic(fmt.Sprintf("exec: backend name %q shadows a built-in engine", b.Name()))
+	if b.Name() == "batch" {
+		panic(fmt.Sprintf("exec: backend name %q shadows the batch engine", b.Name()))
 	}
 	for _, have := range backends {
 		if have.Engine() == b.Engine() || have.Name() == b.Name() {
@@ -78,7 +77,7 @@ func RegisterBackend(b Backend) {
 }
 
 // backendFor returns the registered backend for an engine, or nil for the
-// built-in engines and unknown IDs.
+// batch engine and unknown IDs.
 func backendFor(e Engine) Backend {
 	for _, b := range backends {
 		if b.Engine() == e {
@@ -89,15 +88,15 @@ func backendFor(e Engine) Backend {
 }
 
 // HasTreeBackend reports whether the engine can evaluate logical trees
-// directly via RunTree. The built-in engines cannot: they only execute
-// physical plans.
+// directly via RunTree. The batch engine cannot: it only executes physical
+// plans.
 func HasTreeBackend(e Engine) bool { return backendFor(e) != nil }
 
-// Engines returns every available engine — the built-ins followed by
+// Engines returns every available engine — the batch engine followed by
 // registered backends in registration order. The conformance suite runs
 // each of them over the same corpus.
 func Engines() []Engine {
-	out := []Engine{EngineRow, EngineBatch}
+	out := []Engine{EngineBatch}
 	for _, b := range backends {
 		out = append(out, b.Engine())
 	}
@@ -107,10 +106,7 @@ func Engines() []Engine {
 // EngineByName resolves an engine name as spelled in reports and the
 // -backend CLI flag.
 func EngineByName(name string) (Engine, error) {
-	switch name {
-	case "row":
-		return EngineRow, nil
-	case "batch":
+	if name == "batch" {
 		return EngineBatch, nil
 	}
 	for _, b := range backends {
@@ -118,7 +114,7 @@ func EngineByName(name string) (Engine, error) {
 			return b.Engine(), nil
 		}
 	}
-	names := "row, batch"
+	names := "batch"
 	for _, b := range backends {
 		names += ", " + b.Name()
 	}
@@ -126,9 +122,8 @@ func EngineByName(name string) (Engine, error) {
 }
 
 // RunTree evaluates a logical query tree on a tree-capable backend with
-// RunEngine's budget semantics. The built-in engines reject it: they would
-// have to lower the tree through the same code the oracle is trying to
-// check.
+// RunEngine's budget semantics. The batch engine rejects it: it would have
+// to lower the tree through the same code the oracle is trying to check.
 func RunTree(eng Engine, tree *logical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) ([]datum.Row, error) {
 	b := backendFor(eng)
 	if b == nil {
@@ -142,8 +137,8 @@ func RunTree(eng Engine, tree *logical.Expr, cat *catalog.Catalog, maxRows int, 
 // algorithm collapses to its logical join (On carries the full predicate,
 // so dropping EquiLeft/EquiRight loses nothing), both aggregate
 // implementations collapse to GroupBy, and the remaining operators map
-// one-to-one. This is how a tree-only backend executes "the same plan" a
-// built-in engine ran: same semantics, none of the physical machinery.
+// one-to-one. This is how a tree-only backend executes "the same plan" the
+// batch engine ran: same semantics, none of the physical machinery.
 func Delower(plan *physical.Expr) (*logical.Expr, error) {
 	kids := make([]*logical.Expr, len(plan.Children))
 	for i, c := range plan.Children {
@@ -201,7 +196,7 @@ func Delower(plan *physical.Expr) (*logical.Expr, error) {
 // counterpart of RootOrder for plans: whether a Sort survives to the root
 // through order-preserving operators (Limit, Select, Project), which output
 // slots carry its keys, and where Limits sit relative to it. Cross-engine
-// comparisons pass the built-in engine's RootOrder and the tree backend's
+// comparisons pass the batch engine's RootOrder and the tree backend's
 // TreeOrder to CompareResults, which then applies the shared normalization
 // (positional comparison only when both sides are ordered).
 func TreeOrder(tree *logical.Expr) PlanOrder {

@@ -11,11 +11,11 @@ import (
 // batchAgg is the columnar grouped/scalar aggregation. Aggregate arguments
 // are evaluated once per batch (one vectorized pass per aggregate), and group
 // keys go through an allocation-free two-step index: only the first row of
-// each distinct group allocates its key string. The accumulators are the row
-// engine's aggState, so aggregate semantics — including the SUM/AVG
-// non-numeric execution error — live in exactly one place.
+// each distinct group allocates its key string. With sorted set (a stream
+// aggregate fed by a sort) groups are emitted in group-key order. The input
+// is drained in Open.
 type batchAgg struct {
-	child     BatchIterator
+	child     Operator
 	groupCols []scalar.ColumnID
 	aggs      []scalar.Agg
 	ve        scalar.VecEval
@@ -48,7 +48,7 @@ func (a *batchAgg) Open() error {
 	groups := make(map[string]*aggGroup)
 	var order []*aggGroup
 	for {
-		b, err := a.child.Next()
+		b, err := a.child.Next(unbounded)
 		if err != nil {
 			return err
 		}
@@ -102,8 +102,6 @@ func (a *batchAgg) Open() error {
 		order = append(order, g)
 	}
 	if a.sorted {
-		// Key strings use the same injective encoding in both engines, so
-		// this order is byte-for-byte the row engine's.
 		sort.Slice(order, func(i, j int) bool { return order[i].key < order[j].key })
 	}
 	width := len(a.groupCols) + len(a.aggs)
@@ -130,14 +128,11 @@ func (a *batchAgg) Open() error {
 	return nil
 }
 
-func (a *batchAgg) Next() (*Batch, error) {
+func (a *batchAgg) Next(max int) (*Batch, error) {
 	if a.pos >= len(a.idx) {
 		return nil, nil
 	}
-	end := a.pos + batchSize
-	if end > len(a.idx) {
-		end = len(a.idx)
-	}
+	end := a.pos + min(batchSize, max, len(a.idx)-a.pos)
 	a.out = Batch{Cols: a.vecs, Idx: a.idx[a.pos:end]}
 	a.pos = end
 	return &a.out, nil

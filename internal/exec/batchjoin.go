@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 
@@ -9,31 +10,41 @@ import (
 	"qtrtest/internal/scalar"
 )
 
-// batchHashJoin is the columnar join for both hash and nested-loops plans.
-// The build side is materialized into column vectors; the probe side is
-// processed in chunks of candidate (left, right) pairs whose join predicate
-// is evaluated in one vectorized pass per chunk.
+// batchHashJoin is the columnar join for hash, nested-loops and merge join
+// plans. The build side is materialized into column vectors in Open; the
+// probe side is processed in chunks of candidate (left, right) pairs whose
+// join predicate is evaluated in one vectorized pass per chunk.
 //
 // A hash join finds a probe row's candidates through an allocation-free key
 // index over the build side (map hits cost no allocation; only distinct keys
 // allocate). A nested-loops join is the keyless case: every build row, in
 // build order, is a candidate for every probe row, so there is no key map,
-// no NULL-key filter, and any EquiLeft/EquiRight on the plan is ignored, as
-// the row engine's nlJoinIter ignores them.
+// no NULL-key filter, and any EquiLeft/EquiRight on the plan is ignored. A
+// merge join is the keyed join over both inputs stably sorted on their keys
+// (keySort): probing the sorted left side against the sorted build side
+// emits each key group's cross product in sorted key order, left-major, which
+// is the merge algorithm's sequence; both skip NULL keys, and the key
+// encoding and datum.TotalCompare fold numeric kinds alike.
 //
 // Chunks materialize late: the predicate pass gathers only the columns On
 // references, and only passing pairs are gathered at full width. The pairs
 // per chunk are bounded by chunkCells over the gathered width, so a wide
 // join pins no more scratch than a narrow one.
 //
-// Emission order is pinned to the row engine's: for each probe row in stream
-// order, its passing matches in build order, then its outer/anti fallout.
-// A semi or anti probe row stops at its first passing candidate, and errors
-// from candidates past that point are never raised (see evalPairwise). The
+// Emission order is the Volcano model's: for each probe row in stream order,
+// its passing matches in build order, then its outer/anti fallout. A semi or
+// anti probe row stops at its first passing candidate, and errors from
+// candidates past that point are never raised (see evalPairwise). The
 // differential golden tests rely on both.
+//
+// Under a capped demand (a Limit above) the join pulls no probe row a
+// row-at-a-time join would not have started: semi and anti joins emit at
+// most one row per probe row, so they pull as many probe rows as the demand;
+// inner and left joins pull one probe row at a time and stop mid-row once the
+// demand is met (see trimToDemand).
 type batchHashJoin struct {
 	plan        *physical.Expr
-	left, right BatchIterator
+	left, right Operator
 
 	jt         physical.JoinType
 	keyless    bool // nested-loops: every build row is a candidate
@@ -46,8 +57,9 @@ type batchHashJoin struct {
 
 	// build side. rightVecs is either the scratch's buildVecs, filled by
 	// this join, or — on the bare-scan fast path — the catalog's cached
-	// column vectors, which must never be recycled. buildN counts the build
-	// rows a keyless join iterates.
+	// column vectors, or a sorted build side's own vectors; those two must
+	// never be recycled. buildN counts the build rows a keyless join
+	// iterates.
 	rightVecs []datum.Vec
 	buildN    int
 	lookup    map[string]int32
@@ -142,7 +154,36 @@ type joinSeg struct {
 	final      bool // chunk holds the row's last candidates
 }
 
-func newBatchHashJoin(plan *physical.Expr, left, right BatchIterator) *batchHashJoin {
+// keySlots resolves equi-key columns to input row slots. A key column
+// missing from its input is a plan-construction bug and must surface as an
+// error rather than silently probing slot 0.
+func keySlots(env scalar.Env, cols []scalar.ColumnID, join, side string) ([]int, error) {
+	slots := make([]int, len(cols))
+	for i, c := range cols {
+		s, ok := env[c]
+		if !ok {
+			return nil, fmt.Errorf("exec: %s join key column c%d not in %s input", join, c, side)
+		}
+		slots[i] = s
+	}
+	return slots, nil
+}
+
+// combinedEnv builds the evaluation environment for a (left ++ right) row.
+func combinedEnv(plan *physical.Expr) scalar.Env {
+	l := plan.Children[0].OutputCols()
+	r := plan.Children[1].OutputCols()
+	env := make(scalar.Env, len(l)+len(r))
+	for i, c := range l {
+		env[c] = i
+	}
+	for i, c := range r {
+		env[c] = len(l) + i
+	}
+	return env
+}
+
+func newBatchHashJoin(plan *physical.Expr, left, right Operator) *batchHashJoin {
 	keyless := plan.Op == physical.OpNLJoin
 	return &batchHashJoin{
 		plan: plan, left: left, right: right,
@@ -199,11 +240,15 @@ func (h *batchHashJoin) Open() error {
 	rcols := h.plan.Children[1].OutputCols()
 	h.leftWidth, h.rightWidth = len(lcols), len(rcols)
 	if !h.keyless {
+		kind := "hash"
+		if h.plan.Op == physical.OpMergeJoin {
+			kind = "merge"
+		}
 		var err error
-		if h.leftSlots, err = keySlots(envOf(lcols), h.plan.EquiLeft, "hash", "left"); err != nil {
+		if h.leftSlots, err = keySlots(envOf(lcols), h.plan.EquiLeft, kind, "left"); err != nil {
 			return err
 		}
-		if h.rightSlots, err = keySlots(envOf(rcols), h.plan.EquiRight, "hash", "right"); err != nil {
+		if h.rightSlots, err = keySlots(envOf(rcols), h.plan.EquiRight, kind, "right"); err != nil {
 			return err
 		}
 	}
@@ -277,11 +322,11 @@ func appendRefSlotsAll(dst []int, kids []scalar.Expr, env scalar.Env) (_ []int, 
 }
 
 // scanOf unwraps a batch subtree down to a bare table scan, looking through
-// the budget wrapper; nil when the subtree is anything else.
-func scanOf(it BatchIterator) (*batchScan, *batchBudget) {
-	if bb, ok := it.(*batchBudget); ok {
-		if bs, ok := bb.child.(*batchScan); ok {
-			return bs, bb
+// the meter; nil when the subtree is anything else.
+func scanOf(it Operator) (*batchScan, *batchMeter) {
+	if m, ok := it.(*batchMeter); ok {
+		if bs, ok := m.child.(*batchScan); ok {
+			return bs, m
 		}
 		return nil, nil
 	}
@@ -302,7 +347,7 @@ func (h *batchHashJoin) buildSide() error {
 	if err := h.right.Open(); err != nil {
 		return err
 	}
-	if bs, bb := scanOf(h.right); bs != nil {
+	if bs, m := scanOf(h.right); bs != nil {
 		h.rightVecs = bs.cols
 		if h.keyless {
 			h.buildN = len(bs.idx)
@@ -310,12 +355,11 @@ func (h *batchHashJoin) buildSide() error {
 			idx := bs.table.JoinIndex(h.rightSlots)
 			h.lookup, h.groups = idx.Lookup, idx.Groups
 		}
-		if bb != nil {
-			// Charge what the scan would have emitted batch by batch; only
+		if m != nil {
+			// Count what the scan would have emitted batch by batch; only
 			// the plan-wide total matters for the ErrRowLimit verdict.
-			*bb.budget -= int64(len(bs.idx))
-			if *bb.budget < 0 {
-				return ErrRowLimit
+			if err := m.charge(len(bs.idx)); err != nil {
+				return err
 			}
 		}
 		bs.pos = len(bs.idx) // the scan is consumed
@@ -326,7 +370,7 @@ func (h *batchHashJoin) buildSide() error {
 	if h.keyless {
 		h.buildN = 0
 		for {
-			b, err := h.right.Next()
+			b, err := h.right.Next(unbounded)
 			if err != nil || b == nil {
 				return err
 			}
@@ -336,15 +380,22 @@ func (h *batchHashJoin) buildSide() error {
 			h.buildN += b.Len()
 		}
 	}
+	// An unmetered sort (a merge join's build side) holds its whole input in
+	// vectors that stay put until it is closed, so, as with a bare scan, the
+	// groups index those vectors in place instead of a copy in buildVecs.
+	sorted, inPlace := h.right.(*batchSort)
 	h.lookup = make(map[string]int32)
 	h.groups = nil // never reuse: the fast path above aliases a shared index
 	stored := int32(0)
 	for {
-		b, err := h.right.Next()
+		b, err := h.right.Next(unbounded)
 		if err != nil {
 			return err
 		}
 		if b == nil {
+			if inPlace {
+				h.rightVecs = sorted.vecs
+			}
 			return nil
 		}
 		h.keep = h.keep[:0]
@@ -364,20 +415,30 @@ func (h *batchHashJoin) buildSide() error {
 				h.lookup[string(h.keyBuf)] = slot
 				h.groups = append(h.groups, nil)
 			}
-			h.keep = append(h.keep, ri)
-			h.groups[slot] = append(h.groups[slot], stored)
-			stored++
+			pos := int32(ri)
+			if !inPlace {
+				h.keep = append(h.keep, ri)
+				pos = stored
+				stored++
+			}
+			h.groups[slot] = append(h.groups[slot], pos)
 		}
-		for c := 0; c < h.rightWidth; c++ {
-			h.rightVecs[c].AppendGather(b.Cols[c].D, h.keep)
+		if !inPlace {
+			for c := 0; c < h.rightWidth; c++ {
+				h.rightVecs[c].AppendGather(b.Cols[c].D, h.keep)
+			}
 		}
 	}
 }
 
-func (h *batchHashJoin) Next() (*Batch, error) {
+func (h *batchHashJoin) Next(max int) (*Batch, error) {
 	for {
 		if h.lb == nil {
-			lb, err := h.left.Next()
+			demand := max
+			if max != unbounded && !h.semiAnti() {
+				demand = 1
+			}
+			lb, err := h.left.Next(demand)
 			if err != nil {
 				return nil, err
 			}
@@ -389,10 +450,10 @@ func (h *batchHashJoin) Next() (*Batch, error) {
 		}
 		var b *Batch
 		var err error
-		if h.equi && (h.jt == physical.JoinSemi || h.jt == physical.JoinAnti) {
-			b = h.semiAntiEqui()
+		if h.equi && h.semiAnti() {
+			b = h.semiAntiEqui(max)
 		} else {
-			b, err = h.processChunk()
+			b, err = h.processChunk(max)
 			if err != nil {
 				return nil, err
 			}
@@ -406,13 +467,19 @@ func (h *batchHashJoin) Next() (*Batch, error) {
 	}
 }
 
+// semiAnti reports whether the join emits at most one row per probe row,
+// its left row alone.
+func (h *batchHashJoin) semiAnti() bool {
+	return h.jt == physical.JoinSemi || h.jt == physical.JoinAnti
+}
+
 // semiAntiEqui handles semi and anti joins whose predicate is exactly the
 // equi-key conjunction: a probe row passes iff its candidate group is
-// (non-)empty, so the whole batch resolves with one hash lookup per row and
+// (non-)empty, so up to max probe rows resolve with one hash lookup each and
 // no candidate pairs are ever gathered.
-func (h *batchHashJoin) semiAntiEqui() *Batch {
+func (h *batchHashJoin) semiAntiEqui(max int) *Batch {
 	h.outIdx = h.outIdx[:0]
-	for ; h.li < len(h.lb.Idx); h.li++ {
+	for n := 0; h.li < len(h.lb.Idx) && n < max; h.li, n = h.li+1, n+1 {
 		h.resolveRow()
 		if (len(h.group) > 0) == (h.jt == physical.JoinSemi) {
 			h.outIdx = append(h.outIdx, h.lb.Idx[h.li])
@@ -446,23 +513,30 @@ func (h *batchHashJoin) resolveRow() {
 	}
 }
 
-// processChunk gathers up to chunkPairs candidate pairs from at most
-// batchSize probe rows starting at the probe cursor, evaluates the join
-// predicate once over all of them, and emits the chunk's output in
-// row-engine order. The row bound keeps a left join's output (passing pairs
-// plus one fallout row per probe row) within denseIota.
-func (h *batchHashJoin) processChunk() (*Batch, error) {
+// processChunk gathers up to chunkPairs candidate pairs from the probe rows
+// starting at the probe cursor, evaluates the join predicate once over all of
+// them, and emits the chunk's output in probe order, at most max rows. A
+// chunk spans at most batchSize probe rows, which keeps a left join's output
+// (passing pairs plus one fallout row per probe row) within denseIota; under
+// a capped demand it spans at most max probe rows of a semi or anti join and
+// one probe row of an inner or left join.
+func (h *batchHashJoin) processChunk(max int) (*Batch, error) {
 	h.candL = h.candL[:0]
 	h.candR = h.candR[:0]
 	h.segs = h.segs[:0]
+	rows := batchSize
+	if h.semiAnti() {
+		rows = min(rows, max)
+	} else if max != unbounded {
+		rows = 1
+	}
 	n := 0
-	for h.li < len(h.lb.Idx) && n < h.chunkPairs && len(h.segs) < batchSize {
+	for h.li < len(h.lb.Idx) && n < h.chunkPairs && len(h.segs) < rows {
 		if !h.inRow {
 			h.resolveRow()
 		}
-		if h.rowMatched[h.li] && (h.jt == physical.JoinSemi || h.jt == physical.JoinAnti) {
-			// Decision already made in an earlier chunk; the row engine stops
-			// probing such a row too.
+		if h.rowMatched[h.li] && h.semiAnti() {
+			// Decision already made in an earlier chunk: stop probing the row.
 			h.mi = h.groupLen
 		}
 		start := n
@@ -490,17 +564,36 @@ func (h *batchHashJoin) processChunk() (*Batch, error) {
 		h.li++
 		h.inRow = false
 	}
-	if err := h.evalChunk(); err != nil {
+	if err := h.evalChunk(max); err != nil {
 		return nil, err
 	}
+	if !h.semiAnti() && len(h.sel) >= max {
+		h.trimToDemand(max)
+	}
 	return h.emitChunk(), nil
+}
+
+// trimToDemand cuts an inner or left join chunk — one probe row under a
+// capped demand — back to its first max passing pairs and rewinds the probe
+// cursor to the candidate after the last of them, so the next call resumes
+// there: no output row past the demand is produced, and candidates that
+// evalPairwise left unevaluated are not skipped.
+func (h *batchHashJoin) trimToDemand(max int) {
+	seg := &h.segs[0]
+	last := h.sel[max-1]
+	h.sel = h.sel[:max]
+	if seg.final {
+		h.li, h.inRow = seg.li, true
+	}
+	h.mi -= seg.end - (last + 1)
+	seg.end, seg.final = last+1, false
 }
 
 // evalChunk gathers the predicate columns of the candidate pairs and runs
 // one vectorized predicate pass, leaving the passing candidate positions in
 // h.sel. For an equi-only predicate the pass is skipped: every hash
 // candidate matches by construction.
-func (h *batchHashJoin) evalChunk() error {
+func (h *batchHashJoin) evalChunk(max int) error {
 	n := len(h.candL)
 	if h.equi {
 		// Aliasing the shared read-only iota is safe: an equi-only join never
@@ -523,8 +616,8 @@ func (h *batchHashJoin) evalChunk() error {
 	}
 	sel, err := h.ve.EvalPred(h.plan.On, h.candVecs, denseIota[:n], h.sel)
 	if err != nil {
-		if h.jt == physical.JoinSemi || h.jt == physical.JoinAnti {
-			return h.evalPairwise()
+		if h.semiAnti() || max != unbounded {
+			return h.evalPairwise(max)
 		}
 		return err
 	}
@@ -532,12 +625,13 @@ func (h *batchHashJoin) evalChunk() error {
 	return nil
 }
 
-// evalPairwise re-evaluates a semi/anti chunk whose vectorized pass failed,
-// one pair at a time in row order, so that only an error the row engine
-// would reach is raised: a probe row stops at its first passing candidate,
-// and the candidates after it are never evaluated. h.sel receives each
-// decided row's first passing candidate, which is all emitChunk reads.
-func (h *batchHashJoin) evalPairwise() error {
+// evalPairwise re-evaluates a chunk whose vectorized pass failed one pair at
+// a time in row order, so that only an error a row-at-a-time join would
+// reach is raised: a semi or anti probe row stops at its first passing
+// candidate, and a join under a capped demand stops at its max-th passing
+// pair; the candidates after those are never evaluated. h.sel receives the
+// passing candidates up to those points, which is all emitChunk reads.
+func (h *batchHashJoin) evalPairwise(max int) error {
 	h.sel = h.sel[:0]
 	var one []int
 	for _, seg := range h.segs {
@@ -546,9 +640,15 @@ func (h *batchHashJoin) evalPairwise() error {
 			if one, err = h.ve.EvalPred(h.plan.On, h.candVecs, denseIota[p:p+1], one[:0]); err != nil {
 				return err
 			}
-			if len(one) > 0 {
-				h.sel = append(h.sel, p)
+			if len(one) == 0 {
+				continue
+			}
+			h.sel = append(h.sel, p)
+			if h.semiAnti() {
 				break
+			}
+			if len(h.sel) == max {
+				return nil
 			}
 		}
 	}
@@ -560,7 +660,7 @@ func (h *batchHashJoin) evalPairwise() error {
 // candidates are exhausted.
 func (h *batchHashJoin) emitChunk() *Batch {
 	sel := h.sel
-	if h.jt == physical.JoinSemi || h.jt == physical.JoinAnti {
+	if h.semiAnti() {
 		h.outIdx = h.outIdx[:0]
 		si := 0
 		for _, seg := range h.segs {

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -38,7 +37,7 @@ func benchCatalog(rows int) *catalog.Catalog {
 }
 
 // benchPlans returns the per-operator plans the engine benchmarks execute,
-// from bare scan up to aggregation over a join. The catalog must come from
+// one or more per physical operator. The catalog must come from
 // benchCatalog.
 func benchPlans() []struct {
 	name string
@@ -64,9 +63,7 @@ func benchPlans() []struct {
 			{Op: scalar.AggSum, Arg: &scalar.ColRef{ID: 3}, Out: 21},
 		}}
 	// A theta join no hash key can serve, over the filtered fact rows and a
-	// 5-row dimension subset: 25k × 5 = 125k candidate pairs, small enough
-	// that the row baseline still runs at least ten iterations per
-	// benchmark second.
+	// 5-row dimension subset: 25k × 5 = 125k candidate pairs.
 	dimSubset := &physical.Expr{Op: physical.OpFilter, Children: []*physical.Expr{scanD},
 		Filter: &scalar.Cmp{Op: scalar.CmpLT, L: &scalar.ColRef{ID: 6}, R: &scalar.Const{D: datum.NewInt(5)}}}
 	nljoin := &physical.Expr{Op: physical.OpNLJoin, JoinType: physical.JoinInner,
@@ -75,30 +72,41 @@ func benchPlans() []struct {
 			&scalar.Cmp{Op: scalar.CmpEQ, L: &scalar.ColRef{ID: 2}, R: &scalar.ColRef{ID: 5}},
 			&scalar.Cmp{Op: scalar.CmpLT, L: &scalar.ColRef{ID: 1}, R: &scalar.ColRef{ID: 4}},
 		}}}
+	// The operators that ran row-at-a-time behind adapter shims before every
+	// operator was batch-native: a two-key sort and a concat over the
+	// filtered fact rows, a merge join on the hash join's keys, and a Limit
+	// over the hash join, which pulls one probe row at a time.
+	sortOp := &physical.Expr{Op: physical.OpSort, Children: []*physical.Expr{filter},
+		Keys: []logical.SortKey{{Col: 2}, {Col: 1, Desc: true}}}
+	concat := &physical.Expr{Op: physical.OpConcat, Children: []*physical.Expr{filter, scanD},
+		OutCols: []scalar.ColumnID{30, 31}, InputCols: [][]scalar.ColumnID{{1, 2}, {4, 5}}}
+	mergejoin := &physical.Expr{Op: physical.OpMergeJoin, JoinType: physical.JoinInner,
+		Children: []*physical.Expr{filter, scanD},
+		On:       &scalar.Cmp{Op: scalar.CmpEQ, L: &scalar.ColRef{ID: 1}, R: &scalar.ColRef{ID: 4}},
+		EquiLeft: []scalar.ColumnID{1}, EquiRight: []scalar.ColumnID{4}}
+	limit := &physical.Expr{Op: physical.OpLimit, N: 1000, Children: []*physical.Expr{join}}
 	return []struct {
 		name string
 		plan *physical.Expr
 	}{
 		{"scan", scanF}, {"filter", filter}, {"project", project}, {"join", join}, {"agg", agg},
-		{"nljoin", nljoin},
+		{"nljoin", nljoin}, {"sort", sortOp}, {"limit", limit}, {"concat", concat}, {"mergejoin", mergejoin},
 	}
 }
 
-// BenchmarkEngineOps measures each hot operator on the row and batch engines
-// over a 50k-row synthetic table; `qtrtest bench -exec` runs the same
-// workload when producing BENCH_exec.json.
+// BenchmarkEngineOps measures each operator on the batch engine over a
+// 50k-row synthetic table; `qtrtest bench -exec` runs the same workload when
+// producing BENCH_exec.json.
 func BenchmarkEngineOps(b *testing.B) {
 	cat := benchCatalog(50000)
 	for _, p := range benchPlans() {
-		for _, eng := range []Engine{EngineRow, EngineBatch} {
-			b.Run(fmt.Sprintf("%s/%s", p.name, eng), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := RunEngine(eng, p.plan, cat, 0, 0); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunEngine(EngineBatch, p.plan, cat, 0, 0); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

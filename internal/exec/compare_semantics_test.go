@@ -86,8 +86,8 @@ func TestNormalizeRowsMatchesTotalCompare(t *testing.T) {
 
 // TestEnginesAgreeOnWidenedKeys is the engine-level regression: the same
 // query computed with INT keys on one side and FLOAT-widened keys on the
-// other (a + 0.0) must compare Equal through the oracle on the row engine,
-// the batch engine, and between them.
+// other (a + 0.0) must compare Equal through the oracle on the batch engine
+// and on the reference engine.
 func TestEnginesAgreeOnWidenedKeys(t *testing.T) {
 	cat := testCatalog()
 	intPlan := &physical.Expr{
@@ -100,7 +100,7 @@ func TestEnginesAgreeOnWidenedKeys(t *testing.T) {
 			Op: scalar.ArithAdd, L: &scalar.ColRef{ID: 1}, R: &scalar.Const{D: datum.NewFloat(0)},
 		}}},
 	}
-	for _, eng := range []Engine{EngineRow, EngineBatch} {
+	for _, eng := range []Engine{EngineBatch, EngineRef} {
 		intRows, err := RunEngine(eng, intPlan, cat, 0, 0)
 		if err != nil {
 			t.Fatalf("%v int plan: %v", eng, err)
@@ -116,9 +116,9 @@ func TestEnginesAgreeOnWidenedKeys(t *testing.T) {
 }
 
 // TestEnginesAgreeOnNullPlacement pins NULL-first ascending and NULL-last
-// descending on the row and batch engines positionally — the same contract
-// the conformance suite checks on every backend, asserted here directly on
-// the two production engines as the oracle-audit regression.
+// descending on the batch and reference engines positionally — the same
+// contract the conformance suite checks on every backend, asserted here
+// directly as the oracle-audit regression.
 func TestEnginesAgreeOnNullPlacement(t *testing.T) {
 	cat := testCatalog()
 	for _, tc := range []struct {
@@ -132,7 +132,7 @@ func TestEnginesAgreeOnNullPlacement(t *testing.T) {
 			Op: physical.OpSort, Children: []*physical.Expr{scanT1()},
 			Keys: []logical.SortKey{{Col: 1, Desc: tc.desc}},
 		}
-		for _, eng := range []Engine{EngineRow, EngineBatch} {
+		for _, eng := range []Engine{EngineBatch, EngineRef} {
 			rows, err := RunEngine(eng, plan, cat, 0, 0)
 			if err != nil {
 				t.Fatalf("%v: %v", eng, err)

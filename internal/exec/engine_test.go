@@ -14,29 +14,96 @@ import (
 	"qtrtest/internal/scalar"
 )
 
-// runEngines executes the plan on both engines and requires byte-identical
-// results in identical order: the batch engine's contract is not just
-// multiset equality but emission-order fidelity, which the fuzz report
-// byte-identity test and CompareResults both lean on.
+// runEngines executes the plan on the batch engine and holds it to the row
+// engine this package used to ship, as recorded in the golden data
+// (golden_test.go): the same rows in the same emission order, the same
+// ErrRowLimit verdict at every rung of workLadder and at the maxRows probe,
+// the same work total, and the same per-operator RunAnalyze counts. The
+// result is also cross-checked against the reference engine through
+// CompareResults when that engine runs the plan.
 func runEngines(t *testing.T, plan *physical.Expr, cat *catalog.Catalog) []datum.Row {
 	t.Helper()
-	want, err := RunEngine(EngineRow, plan, cat, 0, 0)
-	if err != nil {
-		t.Fatalf("row engine: %v", err)
-	}
+	want := goldenFor(t, plan)
 	got, err := RunEngine(EngineBatch, plan, cat, 0, 0)
+	if want.Err != "" {
+		if err == nil || err.Error() != want.Err {
+			t.Fatalf("batch engine: err = %v, recorded %q", err, want.Err)
+		}
+		return nil
+	}
 	if err != nil {
 		t.Fatalf("batch engine: %v", err)
 	}
-	requireSameRows(t, want, got)
+	requireGoldenRows(t, want, got)
+	for i, maxWork := range workLadder {
+		rows, err := RunEngine(EngineBatch, plan, cat, 0, maxWork)
+		capped := errors.Is(err, ErrRowLimit)
+		if err != nil && !capped {
+			t.Fatalf("maxWork %d: %v", maxWork, err)
+		}
+		if capped != want.WorkCapped[i] {
+			t.Fatalf("maxWork %d: capped = %v, recorded %v", maxWork, capped, want.WorkCapped[i])
+		}
+		if !capped {
+			requireGoldenRows(t, want, rows)
+		}
+	}
+	if want.MaxRowsCapped != nil {
+		_, err := RunEngine(EngineBatch, plan, cat, want.N/2, 0)
+		if errors.Is(err, ErrRowLimit) != *want.MaxRowsCapped {
+			t.Fatalf("maxRows %d: err = %v, recorded capped = %v", want.N/2, err, *want.MaxRowsCapped)
+		}
+	}
+	if _, err := RunEngine(EngineBatch, plan, cat, 0, want.MinWork); err != nil {
+		t.Fatalf("maxWork %d (the recorded work total): %v", want.MinWork, err)
+	}
+	if want.MinWork > 1 {
+		if _, err := RunEngine(EngineBatch, plan, cat, 0, want.MinWork-1); !errors.Is(err, ErrRowLimit) {
+			t.Fatalf("maxWork %d (below the recorded work total): err = %v, want ErrRowLimit", want.MinWork-1, err)
+		}
+	}
+	_, stats, err := RunAnalyze(plan, cat)
+	if err != nil {
+		t.Fatalf("RunAnalyze: %v", err)
+	}
+	if shape := analyzeShape(stats); shape != want.Analyze {
+		t.Fatalf("RunAnalyze counts:\n got  %s\n want %s", shape, want.Analyze)
+	}
+	if ref, err := RunEngine(EngineRef, plan, cat, 0, 0); err == nil {
+		tree, err := Delower(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, detail := CompareResults(got, RootOrder(plan), ref, TreeOrder(tree)); v == VerdictMismatch {
+			t.Fatalf("batch and reference engines disagree: %s", detail)
+		}
+	}
 	return got
+}
+
+// requireGoldenRows requires got to be the recorded result, row for row.
+func requireGoldenRows(t *testing.T, want goldenRun, got []datum.Row) {
+	t.Helper()
+	if len(got) != want.N {
+		t.Fatalf("%d rows, recorded %d", len(got), want.N)
+	}
+	if want.Rows != nil {
+		enc := encodeRows(got)
+		for i := range want.Rows {
+			if strings.Join(enc[i], ",") != strings.Join(want.Rows[i], ",") {
+				t.Fatalf("row %d = %v, recorded %v", i, enc[i], want.Rows[i])
+			}
+		}
+	}
+	if d := digestRows(got); d != want.Digest {
+		t.Fatalf("rows digest %s, recorded %s", d, want.Digest)
+	}
 }
 
 func requireSameRows(t *testing.T, want, got []datum.Row) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("batch engine returned %d rows, row engine %d\n%s",
-			len(got), len(want), DiffSummary(want, got))
+		t.Fatalf("got %d rows, want %d\n%s", len(got), len(want), DiffSummary(want, got))
 	}
 	for i := range want {
 		if len(got[i]) != len(want[i]) {
@@ -44,16 +111,15 @@ func requireSameRows(t *testing.T, want, got []datum.Row) {
 		}
 		for j := range want[i] {
 			if got[i][j] != want[i][j] {
-				t.Fatalf("row %d col %d: batch %v (kind %v) vs row %v (kind %v)",
+				t.Fatalf("row %d col %d: got %v (kind %v), want %v (kind %v)",
 					i, j, got[i][j], got[i][j].K, want[i][j], want[i][j].K)
 			}
 		}
 	}
 }
 
-// TestEngineDifferentialHandPlans pins row/batch equivalence on a hand-built
-// plan per operator and join type, including the adapter shims (sort, limit,
-// concat, merge and nested-loops joins run row-at-a-time inside batch plans).
+// TestEngineDifferentialHandPlans holds the batch engine to the recorded row
+// engine on a hand-built plan per operator and join type.
 func TestEngineDifferentialHandPlans(t *testing.T) {
 	filterGT15 := func(child *physical.Expr) *physical.Expr {
 		return &physical.Expr{
@@ -135,6 +201,7 @@ func TestEngineDifferentialHandPlans(t *testing.T) {
 		&scalar.Cmp{Op: scalar.CmpNE, L: &scalar.ColRef{ID: 4}, R: &scalar.Const{D: datum.NewString("uno")}},
 	}}
 	plans["hashjoin-residual"] = residual
+	plans["limit-project-concat"] = limitProjectConcat()
 
 	cat := testCatalog()
 	for name, plan := range plans {
@@ -379,50 +446,25 @@ func (g *planGen) gen(depth int) *physical.Expr {
 	}
 }
 
-// TestEngineDifferentialRandomPlans compares the engines over hundreds of
-// random operator trees, then re-runs each plan under a ladder of work and
-// row budgets and requires identical verdicts: same rows, or ErrRowLimit on
-// both sides. Plans containing a Limit take the documented row-engine
-// fallback when a work budget is set, which this test transparently covers.
+// TestEngineDifferentialRandomPlans holds the batch engine to the recorded
+// row engine over random operator trees; runEngines also re-runs each plan
+// under the ladder of work budgets and the maxRows probe and requires the
+// recorded verdicts.
 func TestEngineDifferentialRandomPlans(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
 		seeds = 15
 	}
 	for seed := 0; seed < seeds; seed++ {
-		g := &planGen{r: rand.New(rand.NewSource(int64(seed))), cat: catalog.New(), nextCol: 1}
-		plan := g.gen(3)
-		want := runEngines(t, plan, g.cat)
-
-		for _, maxWork := range []int64{1, 7, 64, 1000, 50000} {
-			rowRows, rowErr := RunEngine(EngineRow, plan, g.cat, 0, maxWork)
-			batchRows, batchErr := RunEngine(EngineBatch, plan, g.cat, 0, maxWork)
-			if (rowErr != nil) != (batchErr != nil) {
-				t.Fatalf("seed %d maxWork %d: row err %v, batch err %v", seed, maxWork, rowErr, batchErr)
-			}
-			if rowErr != nil {
-				if !errors.Is(rowErr, ErrRowLimit) || !errors.Is(batchErr, ErrRowLimit) {
-					t.Fatalf("seed %d maxWork %d: unexpected errors %v / %v", seed, maxWork, rowErr, batchErr)
-				}
-				continue
-			}
-			requireSameRows(t, rowRows, batchRows)
-		}
-		if len(want) > 1 {
-			maxRows := len(want) / 2
-			_, rowErr := RunEngine(EngineRow, plan, g.cat, maxRows, 0)
-			_, batchErr := RunEngine(EngineBatch, plan, g.cat, maxRows, 0)
-			if !errors.Is(rowErr, ErrRowLimit) || !errors.Is(batchErr, ErrRowLimit) {
-				t.Fatalf("seed %d maxRows %d: want ErrRowLimit on both, got %v / %v",
-					seed, maxRows, rowErr, batchErr)
-			}
-		}
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			g := &planGen{r: rand.New(rand.NewSource(int64(seed))), cat: catalog.New(), nextCol: 1}
+			runEngines(t, g.gen(3), g.cat)
+		})
 	}
 }
 
 // TestSumAvgNonNumericErrors pins the aggregate-typing fix: SUM and AVG over
-// a non-numeric input must fail execution instead of silently returning 0.0,
-// identically on both engines.
+// a non-numeric input must fail execution instead of silently returning 0.0.
 func TestSumAvgNonNumericErrors(t *testing.T) {
 	cat := testCatalog()
 	for _, op := range []scalar.AggOp{scalar.AggSum, scalar.AggAvg} {
@@ -430,14 +472,12 @@ func TestSumAvgNonNumericErrors(t *testing.T) {
 			Op: physical.OpHashAgg, Children: []*physical.Expr{scanT2()},
 			Aggs: []scalar.Agg{{Op: op, Arg: &scalar.ColRef{ID: 4}, Out: 10}},
 		}
-		for _, eng := range []Engine{EngineRow, EngineBatch} {
-			_, err := RunEngine(eng, plan, cat, 0, 0)
-			if err == nil {
-				t.Fatalf("%s engine: %s over strings succeeded, want error", eng, op)
-			}
-			if !strings.Contains(err.Error(), "non-numeric") {
-				t.Fatalf("%s engine: %s error = %q, want non-numeric typing error", eng, op, err)
-			}
+		_, err := Run(plan, cat)
+		if err == nil {
+			t.Fatalf("%s over strings succeeded, want error", op)
+		}
+		if !strings.Contains(err.Error(), "non-numeric") {
+			t.Fatalf("%s error = %q, want non-numeric typing error", op, err)
 		}
 	}
 	// Grouped variant: the bad value sits in one group of several.
@@ -446,10 +486,8 @@ func TestSumAvgNonNumericErrors(t *testing.T) {
 		GroupCols: []scalar.ColumnID{3},
 		Aggs:      []scalar.Agg{{Op: scalar.AggSum, Arg: &scalar.ColRef{ID: 4}, Out: 10}},
 	}
-	for _, eng := range []Engine{EngineRow, EngineBatch} {
-		if _, err := RunEngine(eng, plan, cat, 0, 0); err == nil {
-			t.Fatalf("%s engine: grouped SUM over strings succeeded, want error", eng)
-		}
+	if _, err := Run(plan, cat); err == nil {
+		t.Fatal("grouped SUM over strings succeeded, want error")
 	}
 }
 
@@ -498,25 +536,43 @@ func TestMinMaxMixedKinds(t *testing.T) {
 	}
 }
 
-// TestMergeJoinNonInnerRejected pins that every build path rejects a
-// non-inner merge join through buildOver's single guard (Build used to carry
-// a duplicate of it).
+// TestMergeJoinNonInnerRejected pins that a non-inner merge join is
+// rejected by the one plan compiler, with or without a work budget and
+// under RunAnalyze.
 func TestMergeJoinNonInnerRejected(t *testing.T) {
 	cat := testCatalog()
 	plan := joinPlan(physical.OpMergeJoin, physical.JoinLeft)
-	if _, err := Build(plan, cat); err == nil {
-		t.Error("Build accepted a non-inner merge join")
+	if _, err := RunEngine(EngineBatch, plan, cat, 0, 1000); err == nil || errors.Is(err, ErrRowLimit) {
+		t.Errorf("with budget: err = %v, want merge-join build error", err)
 	}
-	budget := int64(1000)
-	if _, err := buildBudget(plan, cat, &budget); err == nil {
-		t.Error("buildBudget accepted a non-inner merge join")
+	if _, err := RunEngine(EngineBatch, plan, cat, 0, 0); err == nil {
+		t.Error("accepted a non-inner merge join")
 	}
-	for _, eng := range []Engine{EngineRow, EngineBatch} {
-		if _, err := RunEngine(eng, plan, cat, 0, 1000); err == nil || errors.Is(err, ErrRowLimit) {
-			t.Errorf("%s engine with budget: err = %v, want merge-join build error", eng, err)
+	if _, _, err := RunAnalyze(plan, cat); err == nil {
+		t.Error("RunAnalyze accepted a non-inner merge join")
+	}
+}
+
+// TestUnknownEngineRejected pins that an engine ID naming neither the batch
+// engine nor a registered backend fails instead of silently running the
+// batch engine under another name — including 1, the retired row engine's
+// ID — and that such IDs render as engine(N) rather than as a real name.
+func TestUnknownEngineRejected(t *testing.T) {
+	cat := testCatalog()
+	for _, eng := range []Engine{1, 99, -1} {
+		if _, err := RunEngine(eng, scanT1(), cat, 0, 0); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+			t.Errorf("RunEngine(%d): err = %v, want unknown engine", int(eng), err)
 		}
-		if _, err := RunEngine(eng, plan, cat, 0, 0); err == nil {
-			t.Errorf("%s engine: accepted a non-inner merge join", eng)
+		if got, want := eng.String(), fmt.Sprintf("engine(%d)", int(eng)); got != want {
+			t.Errorf("Engine(%d).String() = %q, want %q", int(eng), got, want)
+		}
+	}
+	if _, err := EngineByName("row"); err == nil {
+		t.Error(`EngineByName("row") resolved; the row engine is gone`)
+	}
+	for _, eng := range Engines() {
+		if _, err := RunEngine(eng, scanT1(), cat, 0, 0); err != nil {
+			t.Errorf("RunEngine(%v): %v", eng, err)
 		}
 	}
 }

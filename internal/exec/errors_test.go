@@ -20,7 +20,7 @@ func TestSortMissingKeyColumn(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "sort key column c99") {
 		t.Fatalf("err = %v, want missing sort key column error", err)
 	}
-	// RunAnalyze compiles through buildOver and must fail identically.
+	// RunAnalyze runs the same engine and must fail identically.
 	if _, _, err := RunAnalyze(plan, testCatalog()); err == nil {
 		t.Error("RunAnalyze must reject the same plan")
 	}
@@ -46,26 +46,26 @@ func TestJoinMissingKeyColumn(t *testing.T) {
 	}
 }
 
-// failingCloseIter yields a fixed set of rows and then fails on Close.
+// failingCloseIter yields its rows as one batch, then optionally fails on
+// Next, and fails on Close.
 type failingCloseIter struct {
 	rows     []datum.Row
-	pos      int
+	done     bool
 	nextErr  error
 	closeErr error
+	out      Batch
 }
 
-func (f *failingCloseIter) Open() error { f.pos = 0; return nil }
+func (f *failingCloseIter) Open() error { f.done = false; return nil }
 
-func (f *failingCloseIter) Next() (datum.Row, error) {
-	if f.nextErr != nil && f.pos == len(f.rows) {
+func (f *failingCloseIter) Next(max int) (*Batch, error) {
+	if f.done {
 		return nil, f.nextErr
 	}
-	if f.pos >= len(f.rows) {
-		return nil, nil
-	}
-	row := f.rows[f.pos]
-	f.pos++
-	return row, nil
+	f.done = true
+	cols := datum.ColumnVecs(f.rows, 1)
+	f.out = Batch{Cols: cols, Idx: denseIota[:len(f.rows)]}
+	return &f.out, nil
 }
 
 func (f *failingCloseIter) Close() error { return f.closeErr }
@@ -75,7 +75,7 @@ func (f *failingCloseIter) Close() error { return f.closeErr }
 func TestRunPropagatesCloseError(t *testing.T) {
 	closeErr := errors.New("close failed")
 	it := &failingCloseIter{rows: intRows(1, 2), closeErr: closeErr}
-	rows, err := runIter(it, 0)
+	rows, err := runBatch(it, 0)
 	if !errors.Is(err, closeErr) {
 		t.Fatalf("err = %v, want the Close error", err)
 	}
@@ -89,7 +89,7 @@ func TestRunPropagatesCloseError(t *testing.T) {
 func TestRunPrefersNextError(t *testing.T) {
 	nextErr := errors.New("next failed")
 	it := &failingCloseIter{rows: intRows(1), nextErr: nextErr, closeErr: errors.New("close failed")}
-	_, err := runIter(it, 0)
+	_, err := runBatch(it, 0)
 	if !errors.Is(err, nextErr) {
 		t.Fatalf("err = %v, want the Next error", err)
 	}

@@ -1,29 +1,17 @@
-// Package exec implements a Volcano-style iterator execution engine for
-// physical plans. Correctness testing (§2.3) executes Plan(q) and
-// Plan(q,¬R) and compares their results as multisets; this package provides
-// both the execution and the comparison oracle.
+// Package exec executes physical plans. Correctness testing (§2.3) executes
+// Plan(q) and Plan(q,¬R) and compares their results as multisets; this
+// package provides both the execution engine (batch.go) and the comparison
+// oracle (compare.go).
 package exec
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
-	"qtrtest/internal/logical"
 	"qtrtest/internal/physical"
 	"qtrtest/internal/scalar"
 )
-
-// Iterator is the operator interface: Open, then Next until it returns a nil
-// row, then Close.
-type Iterator interface {
-	Open() error
-	// Next returns the next row, or (nil, nil) at end of stream.
-	Next() (datum.Row, error)
-	Close() error
-}
 
 // envOf maps a column layout to slot positions.
 func envOf(cols []scalar.ColumnID) scalar.Env {
@@ -34,22 +22,8 @@ func envOf(cols []scalar.ColumnID) scalar.Env {
 	return env
 }
 
-// Build compiles a physical plan into an iterator tree over the catalog's
-// in-memory tables.
-func Build(plan *physical.Expr, cat *catalog.Catalog) (Iterator, error) {
-	kids := make([]Iterator, len(plan.Children))
-	for i, c := range plan.Children {
-		k, err := Build(c, cat)
-		if err != nil {
-			return nil, err
-		}
-		kids[i] = k
-	}
-	return buildOver(plan, kids, cat)
-}
-
-// Run executes a plan to completion on the default (batch) engine and
-// returns all result rows.
+// Run executes a plan to completion on the batch engine and returns all
+// result rows.
 func Run(plan *physical.Expr, cat *catalog.Catalog) ([]datum.Row, error) {
 	return RunEngine(EngineBatch, plan, cat, 0, 0)
 }
@@ -61,297 +35,10 @@ func Run(plan *physical.Expr, cat *catalog.Catalog) ([]datum.Row, error) {
 var ErrRowLimit = errors.New("exec: result row cap exceeded")
 
 // RunMax executes a plan like Run but fails with ErrRowLimit as soon as the
-// result exceeds maxRows, or the rows produced by all operators together —
-// rescans included — exceed maxWork. A root-only cap cannot bound a plan
-// whose intermediate results explode while its root stays small (a dropped
-// join predicate under an aggregation); the work budget can. Zero or
-// negative caps mean uncapped.
+// result exceeds maxRows, or the rows produced by all operators together
+// exceed maxWork. A root-only cap cannot bound a plan whose intermediate
+// results explode while its root stays small (a dropped join predicate under
+// an aggregation); the work budget can. Zero or negative caps mean uncapped.
 func RunMax(plan *physical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) ([]datum.Row, error) {
 	return RunEngine(EngineBatch, plan, cat, maxRows, maxWork)
-}
-
-// budgetIter charges every row an operator emits against a budget shared by
-// the whole plan. Plans execute single-threaded, so a plain counter works.
-type budgetIter struct {
-	Iterator
-	budget *int64
-}
-
-func (b *budgetIter) Next() (datum.Row, error) {
-	row, err := b.Iterator.Next()
-	if row != nil {
-		*b.budget--
-		if *b.budget < 0 {
-			return nil, ErrRowLimit
-		}
-	}
-	return row, err
-}
-
-// buildBudget compiles the plan with a work-counting wrapper at every
-// operator, mirroring Build.
-func buildBudget(plan *physical.Expr, cat *catalog.Catalog, budget *int64) (Iterator, error) {
-	kids := make([]Iterator, len(plan.Children))
-	for i, c := range plan.Children {
-		k, err := buildBudget(c, cat, budget)
-		if err != nil {
-			return nil, err
-		}
-		kids[i] = k
-	}
-	it, err := buildOver(plan, kids, cat)
-	if err != nil {
-		return nil, err
-	}
-	return &budgetIter{Iterator: it, budget: budget}, nil
-}
-
-// runIter opens, drains and closes an iterator. A Close error on an
-// otherwise successful scan is a real failure and must not be swallowed.
-// maxRows > 0 caps the result size.
-func runIter(it Iterator, maxRows int) (out []datum.Row, err error) {
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	defer func() {
-		if cerr := it.Close(); cerr != nil && err == nil {
-			out, err = nil, cerr
-		}
-	}()
-	for {
-		row, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			return out, nil
-		}
-		if maxRows > 0 && len(out) >= maxRows {
-			return nil, ErrRowLimit
-		}
-		out = append(out, row)
-	}
-}
-
-// ---- scan -----------------------------------------------------------------
-
-type scanIter struct {
-	table *catalog.Table
-	pos   int
-}
-
-func (s *scanIter) Open() error { s.pos = 0; return nil }
-
-func (s *scanIter) Next() (datum.Row, error) {
-	if s.pos >= len(s.table.Rows) {
-		return nil, nil
-	}
-	row := s.table.Rows[s.pos]
-	s.pos++
-	return row, nil
-}
-
-func (s *scanIter) Close() error { return nil }
-
-// ---- filter ---------------------------------------------------------------
-
-type filterIter struct {
-	child Iterator
-	pred  scalar.Expr
-	env   scalar.Env
-}
-
-func (f *filterIter) Open() error { return f.child.Open() }
-
-func (f *filterIter) Next() (datum.Row, error) {
-	for {
-		row, err := f.child.Next()
-		if err != nil || row == nil {
-			return nil, err
-		}
-		ok, err := scalar.EvalBool(f.pred, row, f.env)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return row, nil
-		}
-	}
-}
-
-func (f *filterIter) Close() error { return f.child.Close() }
-
-// ---- project ----------------------------------------------------------------
-
-type projectIter struct {
-	child Iterator
-	items []logical.ProjItem
-	env   scalar.Env
-}
-
-func (p *projectIter) Open() error { return p.child.Open() }
-
-func (p *projectIter) Next() (datum.Row, error) {
-	row, err := p.child.Next()
-	if err != nil || row == nil {
-		return nil, err
-	}
-	out := make(datum.Row, len(p.items))
-	for i, it := range p.items {
-		d, err := scalar.Eval(it.E, row, p.env)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = d
-	}
-	return out, nil
-}
-
-func (p *projectIter) Close() error { return p.child.Close() }
-
-// ---- sort -------------------------------------------------------------------
-
-type sortIter struct {
-	child Iterator
-	keys  []logical.SortKey
-	env   scalar.Env
-	rows  []datum.Row
-	pos   int
-}
-
-func (s *sortIter) Open() error {
-	if err := s.child.Open(); err != nil {
-		return err
-	}
-	// Resolve key slots up front: a sort key missing from the input is a
-	// plan-construction bug and must fail loudly, not silently sort by the
-	// column in slot 0.
-	slots := make([]int, len(s.keys))
-	for i, k := range s.keys {
-		slot, ok := s.env[k.Col]
-		if !ok {
-			return fmt.Errorf("exec: sort key column c%d not in input", k.Col)
-		}
-		slots[i] = slot
-	}
-	s.rows = s.rows[:0]
-	for {
-		row, err := s.child.Next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			break
-		}
-		s.rows = append(s.rows, row)
-	}
-	sort.SliceStable(s.rows, func(i, j int) bool {
-		for ki, k := range s.keys {
-			slot := slots[ki]
-			c := datum.TotalCompare(s.rows[i][slot], s.rows[j][slot])
-			if c != 0 {
-				if k.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-		}
-		return false
-	})
-	s.pos = 0
-	return nil
-}
-
-func (s *sortIter) Next() (datum.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, nil
-}
-
-func (s *sortIter) Close() error { return s.child.Close() }
-
-// ---- limit --------------------------------------------------------------------
-
-type limitIter struct {
-	child Iterator
-	n     int64
-	seen  int64
-}
-
-func (l *limitIter) Open() error { l.seen = 0; return l.child.Open() }
-
-func (l *limitIter) Next() (datum.Row, error) {
-	if l.seen >= l.n {
-		return nil, nil
-	}
-	row, err := l.child.Next()
-	if err != nil || row == nil {
-		return nil, err
-	}
-	l.seen++
-	return row, nil
-}
-
-func (l *limitIter) Close() error { return l.child.Close() }
-
-// ---- concat (UNION ALL) ----------------------------------------------------------
-
-type concatIter struct {
-	plan *physical.Expr
-	kids []Iterator
-	cur  int
-	maps [][]int // per child: output position -> child slot
-}
-
-func (c *concatIter) Open() error {
-	c.cur = 0
-	c.maps = make([][]int, len(c.kids))
-	for i, kid := range c.kids {
-		if err := kid.Open(); err != nil {
-			return err
-		}
-		env := envOf(c.plan.Children[i].OutputCols())
-		m := make([]int, len(c.plan.OutCols))
-		for j := range c.plan.OutCols {
-			slot, ok := env[c.plan.InputCols[i][j]]
-			if !ok {
-				return fmt.Errorf("exec: concat input column c%d missing from child %d", c.plan.InputCols[i][j], i)
-			}
-			m[j] = slot
-		}
-		c.maps[i] = m
-	}
-	return nil
-}
-
-func (c *concatIter) Next() (datum.Row, error) {
-	for c.cur < len(c.kids) {
-		row, err := c.kids[c.cur].Next()
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			c.cur++
-			continue
-		}
-		out := make(datum.Row, len(c.maps[c.cur]))
-		for j, slot := range c.maps[c.cur] {
-			out[j] = row[slot]
-		}
-		return out, nil
-	}
-	return nil, nil
-}
-
-func (c *concatIter) Close() error {
-	var first error
-	for _, k := range c.kids {
-		if err := k.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

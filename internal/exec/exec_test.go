@@ -369,7 +369,7 @@ func TestBuildErrors(t *testing.T) {
 		t.Error("scan of missing table must error")
 	}
 	mj := joinPlan(physical.OpMergeJoin, physical.JoinLeft)
-	if _, err := Build(mj, testCatalog()); err == nil {
+	if _, err := Run(mj, testCatalog()); err == nil {
 		t.Error("merge join only supports inner joins")
 	}
 }

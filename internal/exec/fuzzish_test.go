@@ -34,6 +34,12 @@ func randomTable(name string, cols, rows int, seed int64) *catalog.Table {
 	return t
 }
 
+func concatRows(l, r datum.Row) datum.Row {
+	return append(append(make(datum.Row, 0, len(l)+len(r)), l...), r...)
+}
+
+func nullRow(n int) datum.Row { return make(datum.Row, n) } // the zero Datum is NULL
+
 // naiveJoin computes a reference join result directly over the rows.
 func naiveJoin(l, r *catalog.Table, jt physical.JoinType) []datum.Row {
 	matches := func(a, b datum.Row) bool {

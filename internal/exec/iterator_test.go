@@ -10,7 +10,7 @@ import (
 )
 
 // TestIteratorsReopen: every operator must be re-runnable (Open resets
-// state); the correctness runner executes shared plans repeatedly.
+// state) with or without a work budget.
 func TestIteratorsReopen(t *testing.T) {
 	cat := testCatalog()
 	plans := []*physical.Expr{
@@ -26,9 +26,12 @@ func TestIteratorsReopen(t *testing.T) {
 		{Op: physical.OpSort, Children: []*physical.Expr{scanT1()},
 			Keys: []logical.SortKey{{Col: 1}}},
 		{Op: physical.OpLimit, Children: []*physical.Expr{scanT1()}, N: 2},
+		{Op: physical.OpConcat, Children: []*physical.Expr{scanT1(), scanT2()},
+			OutCols: []scalar.ColumnID{30}, InputCols: [][]scalar.ColumnID{{1}, {3}}},
 	}
 	for _, plan := range plans {
-		it, err := Build(plan, cat)
+		budget := int64(1 << 20)
+		it, err := buildBatchIter(plan, cat, &budget, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", plan.Op, err)
 		}
@@ -38,14 +41,14 @@ func TestIteratorsReopen(t *testing.T) {
 			}
 			n := 0
 			for {
-				row, err := it.Next()
+				b, err := it.Next(unbounded)
 				if err != nil {
 					t.Fatalf("%s next: %v", plan.Op, err)
 				}
-				if row == nil {
+				if b == nil {
 					break
 				}
-				n++
+				n += b.Len()
 			}
 			return n
 		}
@@ -62,7 +65,7 @@ func TestIteratorsReopen(t *testing.T) {
 
 // TestNextAfterEOF: Next after exhaustion keeps returning nil without error.
 func TestNextAfterEOF(t *testing.T) {
-	it, err := Build(scanT1(), testCatalog())
+	it, err := buildBatchIter(scanT1(), testCatalog(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,18 +73,18 @@ func TestNextAfterEOF(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		row, err := it.Next()
+		b, err := it.Next(unbounded)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if row == nil {
+		if b == nil {
 			break
 		}
 	}
 	for i := 0; i < 3; i++ {
-		row, err := it.Next()
-		if err != nil || row != nil {
-			t.Fatalf("Next after EOF: row=%v err=%v", row, err)
+		b, err := it.Next(unbounded)
+		if err != nil || b != nil {
+			t.Fatalf("Next after EOF: batch=%v err=%v", b, err)
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestNLJoinIgnoresEquiKeys pins that the batch nested-loops join, like the
-// row engine's nlJoinIter, never looks at EquiLeft/EquiRight: every build
-// row is a candidate and On alone decides. The plan generators in
+// row-at-a-time NL join it replaced, never looks at EquiLeft/EquiRight:
+// every build row is a candidate and On alone decides. The plan generators in
 // engine_test.go set keys on NL joins, but always keys that agree with On;
 // here they disagree with it (b = x never holds on testCatalog) or name a
 // column that is not in the input at all, which a keyed join rejects.
@@ -41,7 +41,7 @@ func TestNLJoinIgnoresEquiKeys(t *testing.T) {
 // TestNLJoinAllocs guards the per-execution cost of the batch nested-loops
 // join on the micro-plans small-scope verification runs by the hundred
 // thousand. The ceilings are what the same plans allocated when NL joins ran
-// on the row engine behind the batchFromRows shim; the batch join must not
+// on the retired row engine behind an adapter shim; the batch join must not
 // cost more, with or without a work budget.
 func TestNLJoinAllocs(t *testing.T) {
 	if raceEnabled {

@@ -25,8 +25,8 @@ import (
 //     read-only denseIota (equi joins slice it directly) are rejected by
 //     putSel's and putJoinScratch's base-pointer guards, and the batch join
 //     pools only the build vectors it filled itself (the bare-scan fast
-//     path aliases the catalog's cached column vectors, which must never
-//     enter a pool).
+//     path aliases the catalog's cached column vectors, and a merge join a
+//     sort's vectors, which must never enter a pool).
 //
 // These pools hold slices directly; the slice-header box a Put allocates is
 // noise next to the vector growth it saves for scans, filters, projections

@@ -68,12 +68,11 @@ func poisonPools(tb testing.TB) {
 }
 
 // TestPoolPoisonIsInvisible is the pooled-scratch hygiene guard: with every
-// pool poisoned before each execution, batch results must still match the row
-// engine (which uses none of the pools) on plans covering every pooled
-// operator — filter selections, project vectors, the hash and nested-loops
-// joins' pooled working sets (candidate/output/build vectors, selections,
-// match flags), aggregate argument/result vectors, and the row-adapter
-// vectors behind sort.
+// pool poisoned before each execution, results must still match an
+// unpoisoned execution on plans covering every pooled operator — filter
+// selections, project vectors, the hash and nested-loops joins' pooled
+// working sets (candidate/output/build vectors, selections, match flags),
+// and aggregate argument/result vectors, also under a sort.
 func TestPoolPoisonIsInvisible(t *testing.T) {
 	cat := testCatalog()
 	agg := func(child *physical.Expr) *physical.Expr {
@@ -120,17 +119,17 @@ func TestPoolPoisonIsInvisible(t *testing.T) {
 
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {
-			want, err := RunEngine(EngineRow, plan, cat, 0, 0)
+			want, err := Run(plan, cat)
 			if err != nil {
-				t.Fatalf("row engine: %v", err)
+				t.Fatalf("unpoisoned: %v", err)
 			}
 			// Several rounds so later executions consume buffers earlier
 			// poisoned *and* buffers recycled from the previous round.
 			for round := 0; round < 3; round++ {
 				poisonPools(t)
-				got, err := RunEngine(EngineBatch, plan, cat, 0, 0)
+				got, err := Run(plan, cat)
 				if err != nil {
-					t.Fatalf("round %d: batch engine: %v", round, err)
+					t.Fatalf("round %d: %v", round, err)
 				}
 				requireSameRows(t, want, got)
 			}

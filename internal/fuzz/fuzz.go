@@ -92,17 +92,17 @@ type Config struct {
 	// workers-deterministic.
 	StopOnFinding bool
 	// Engine selects the execution engine for every plan execution in the
-	// campaign (the zero value is the batch engine). Campaign reports are
-	// byte-identical across engines; the knob exists so the differential
-	// golden tests can pin that.
+	// campaign: the zero value is the batch engine, and a registered
+	// Backend (a timing wrapper, say) may stand in for it.
 	Engine exec.Engine
-	// Backend names an independent engine ("ref", "row", "batch") that
-	// every base query is additionally replayed on and compared against —
-	// the cross-engine oracle that breaks the campaign's self-differential
-	// circularity. The "ref" backend evaluates the pre-optimizer logical
-	// tree on the reference interpreter, so it catches faults the optimizer
-	// and both built-in engines share. Empty (the default) disables the
-	// check, leaving the report byte-identical to a backend-less campaign.
+	// Backend names an independent engine ("ref", or "batch" to replay
+	// on the campaign's own engine) that every base query is additionally
+	// replayed on and compared against — the cross-engine oracle that breaks
+	// the campaign's self-differential circularity. The "ref" backend
+	// evaluates the pre-optimizer logical tree on the reference interpreter,
+	// so it catches faults the optimizer and the batch engine share. Empty
+	// (the default) disables the check, leaving the report byte-identical to
+	// a backend-less campaign.
 	Backend string
 	// Cache, when non-nil, memoizes plan executions across the whole
 	// campaign — oracles and shrinker alike. Reports are byte-identical with

@@ -27,7 +27,7 @@ const (
 // FuzzRefEngineDiff is the native differential fuzz target: an arbitrary
 // byte program builds a random logical tree over a tiny fixed TPC-H catalog,
 // which is then evaluated by the reference interpreter (on the tree) and by
-// the production row engine (on the canonical lowering of the same tree).
+// the production batch engine (on the canonical lowering of the same tree).
 // Under result normalization the two must agree on every program. The
 // builder is type-safe by construction — arithmetic and SUM/AVG are only
 // applied to INT columns — so neither side can hit a runtime type error and
@@ -48,16 +48,16 @@ func FuzzRefEngineDiff(f *testing.F) {
 		}
 		refRows, refErr := refengine.Eval(tree, cat, refengine.Limits{MaxRows: fuzzMaxRows, MaxWork: fuzzMaxWork})
 		plan := lowerCanonical(tree)
-		rowRows, rowErr := exec.RunEngine(exec.EngineRow, plan, cat, fuzzMaxRows, fuzzMaxWork)
-		if errors.Is(refErr, refengine.ErrBudget) || errors.Is(rowErr, exec.ErrRowLimit) {
+		batchRows, batchErr := exec.RunEngine(exec.EngineBatch, plan, cat, fuzzMaxRows, fuzzMaxWork)
+		if errors.Is(refErr, refengine.ErrBudget) || errors.Is(batchErr, exec.ErrRowLimit) {
 			return
 		}
-		if refErr != nil || rowErr != nil {
-			t.Fatalf("engine error on a type-safe tree: ref=%v row=%v\ntree:\n%s", refErr, rowErr, tree)
+		if refErr != nil || batchErr != nil {
+			t.Fatalf("engine error on a type-safe tree: ref=%v batch=%v\ntree:\n%s", refErr, batchErr, tree)
 		}
-		verdict, detail := exec.CompareResults(rowRows, exec.RootOrder(plan), refRows, exec.TreeOrder(tree))
+		verdict, detail := exec.CompareResults(batchRows, exec.RootOrder(plan), refRows, exec.TreeOrder(tree))
 		if verdict == exec.VerdictMismatch {
-			t.Fatalf("ref and row engines disagree: %s\ntree:\n%s", detail, tree)
+			t.Fatalf("ref and batch engines disagree: %s\ntree:\n%s", detail, tree)
 		}
 	})
 }

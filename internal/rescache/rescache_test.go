@@ -120,7 +120,7 @@ func TestKeyDistinguishesCapsEnginesAndCatalogs(t *testing.T) {
 		maxWork int64
 	}{
 		{catA, exec.EngineBatch, 0, 0},
-		{catA, exec.EngineRow, 0, 0},    // engine differs
+		{catA, exec.EngineRef, 0, 0},    // engine differs
 		{catA, exec.EngineBatch, 50, 0}, // row cap differs
 		{catA, exec.EngineBatch, 0, 99}, // work budget differs
 		{catB, exec.EngineBatch, 0, 0},  // catalog identity differs
