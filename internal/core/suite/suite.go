@@ -87,8 +87,6 @@ type Query struct {
 	// generation trial already optimized it); the correctness runner reuses
 	// it instead of re-invoking the optimizer per execution.
 	BasePlan *physical.Expr
-	// BasePlanHash caches BasePlan.Hash() for the identical-plan skip.
-	BasePlanHash string
 	// GeneratedFor is the index of the target whose suite TS_i this query
 	// was generated for (the BASELINE method executes exactly those).
 	GeneratedFor int
@@ -111,16 +109,9 @@ type Graph struct {
 	// workers bounds the worker pool used by the parallel algorithm and
 	// execution paths; <= 0 means GOMAXPROCS.
 	workers int
-	// engine selects the execution engine Run uses; the zero value is the
-	// batch engine.
-	engine exec.Engine
-	// cache, when non-nil, memoizes plan executions across Run calls (and
-	// across graphs sharing the same cache); nil executes directly.
-	cache *rescache.Cache
-	// backend, when backendOn, is the independent engine Run replays every
-	// distinct base query on (SetBackend).
-	backend   exec.Engine
-	backendOn bool
+	// oracle runs Run's plan executions and comparisons; SetEngine,
+	// SetCache and SetBackend configure it. It has no caps.
+	oracle Oracle
 }
 
 // Workers returns the graph's worker-pool bound (<= 0 means GOMAXPROCS).
@@ -133,30 +124,18 @@ func (g *Graph) SetWorkers(n int) { g.workers = n }
 // SetEngine overrides the execution engine used by Run. Reports are
 // byte-identical across engines; the differential golden tests hold the suite
 // to that.
-func (g *Graph) SetEngine(e exec.Engine) { g.engine = e }
+func (g *Graph) SetEngine(e exec.Engine) { g.oracle.Engine = e }
 
 // SetCache routes Run's plan executions through a shared result cache.
 // Reports are byte-identical with and without one; the cache differential
 // tests hold the suite to that.
-func (g *Graph) SetCache(c *rescache.Cache) { g.cache = c }
+func (g *Graph) SetCache(c *rescache.Cache) { g.oracle.Cache = c }
 
 // SetBackend enables the independent-backend cross-check: Run additionally
 // replays every distinct base query on the named engine ("ref" or
 // "batch") and reports disagreements. An empty name disables the check
 // (the default); reports are byte-identical to a backend-less run then.
-func (g *Graph) SetBackend(name string) error {
-	if name == "" {
-		g.backendOn = false
-		return nil
-	}
-	e, err := exec.EngineByName(name)
-	if err != nil {
-		return err
-	}
-	g.backend = e
-	g.backendOn = true
-	return nil
-}
+func (g *Graph) SetBackend(name string) error { return g.oracle.SetBackend(name) }
 
 // edgeKey identifies one edge (q, ¬R) of the bipartite graph. Targets are
 // singleton rules or rule pairs, so two rule IDs suffice (r2 is zero for
@@ -399,15 +378,11 @@ func generateOne(gen *qgen.Generator, t Target, cfg GenConfig) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &Query{
+	return &Query{
 		SQL: res.SQL, Tree: res.Tree, MD: res.MD,
 		RuleSet: res.RuleSet, Cost: res.Cost,
 		BasePlan: res.Plan,
-	}
-	if res.Plan != nil {
-		q.BasePlanHash = res.Plan.Hash()
-	}
-	return q, nil
+	}, nil
 }
 
 func (g *Graph) buildAdjacency() {

@@ -100,7 +100,10 @@ type PlanOrder struct {
 // Limits sit relative to it.
 func RootOrder(plan *physical.Expr) PlanOrder {
 	o := PlanOrder{HasLimit: hasLimit(plan)}
-	var projs [][]logical.ProjItem
+	// Plans rarely stack more than a few projections; the array keeps the
+	// common case off the heap, since oracles call this once per execution.
+	var projBuf [4][]logical.ProjItem
+	projs := projBuf[:0]
 	cur := plan
 walk:
 	for {

@@ -76,12 +76,15 @@ func backendFindingReplays(t *testing.T, cat *catalog.Catalog, m mutate.Mutant, 
 		t.Logf("finding SQL does not plan: %v", err)
 		return false
 	}
-	base, err := suite.ExecBase(res.Plan, cat, 0, 2e6)
+	orc := suite.Oracle{MaxWork: 2e6}
+	if err := orc.SetBackend("ref"); err != nil {
+		t.Fatal(err)
+	}
+	base, err := orc.Base(res.Plan, cat)
 	if err != nil {
 		return false
 	}
-	ref, _ := exec.EngineByName("ref")
-	out, err := suite.CrossCheckBase(nil, ref, exec.EngineBatch, bound.Tree, base, cat, 0, 2e6)
+	out, err := orc.CrossCheck(bound.Tree, &base, cat)
 	if err != nil {
 		return true // backend errored where the base ran: still a divergence
 	}

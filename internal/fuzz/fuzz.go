@@ -193,23 +193,27 @@ type campaign struct {
 	opt      *opt.Optimizer
 	gen      *qgen.Generator
 	rewrites []Rewrite
-	cache    *rescache.Cache
-	// backend is the resolved Config.Backend engine; backendOn gates the
-	// cross-engine oracle.
-	backend   exec.Engine
-	backendOn bool
+	// oracle runs every execution and comparison of the campaign, oracles
+	// and shrinker alike, under the campaign's engine, backend, cache and
+	// caps.
+	oracle suite.Oracle
 }
 
-// execBase runs a base plan under the campaign's caps, through the cache
-// when one is configured.
-func (c *campaign) execBase(plan *physical.Expr) (*suite.BaseExec, error) {
-	return suite.ExecBaseCached(c.cache, c.cfg.Engine, plan, c.cfg.Catalog, c.cfg.MaxRows, c.cfg.MaxWork)
-}
-
-// compareEdge runs an alternative plan under the campaign's caps and applies
-// the order-aware oracle, through the cache when one is configured.
-func (c *campaign) compareEdge(base *suite.BaseExec, plan *physical.Expr) (suite.EdgeOutcome, error) {
-	return suite.CompareEdgeCached(c.cache, c.cfg.Engine, c.cfg.Catalog, base, plan, c.cfg.MaxRows, c.cfg.MaxWork)
+// newCampaign builds the campaign state for a defaulted Config.
+func newCampaign(cfg Config) (*campaign, error) {
+	c := &campaign{
+		cfg: cfg, rewrites: rewritesFor(cfg),
+		oracle: suite.Oracle{Engine: cfg.Engine, Cache: cfg.Cache, MaxRows: cfg.MaxRows, MaxWork: cfg.MaxWork},
+	}
+	if err := c.oracle.SetBackend(cfg.Backend); err != nil {
+		return nil, err
+	}
+	c.opt = opt.New(cfg.Registry, cfg.Catalog)
+	var err error
+	if c.gen, err = qgen.New(c.opt, qgen.Config{Seed: cfg.Seed}); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // finding is the internal form of a Finding, carrying the bound tree and
@@ -236,22 +240,9 @@ type result struct {
 // Run executes a fuzz campaign and returns its report.
 func Run(cfg Config) (*Report, error) {
 	cfg.setDefaults()
-	var backendEng exec.Engine
-	if cfg.Backend != "" {
-		var err error
-		backendEng, err = exec.EngineByName(cfg.Backend)
-		if err != nil {
-			return nil, err
-		}
-	}
-	o := opt.New(cfg.Registry, cfg.Catalog)
-	gen, err := qgen.New(o, qgen.Config{Seed: cfg.Seed})
+	c, err := newCampaign(cfg)
 	if err != nil {
 		return nil, err
-	}
-	c := &campaign{
-		cfg: cfg, opt: o, gen: gen, rewrites: rewritesFor(cfg), cache: cfg.Cache,
-		backend: backendEng, backendOn: cfg.Backend != "",
 	}
 
 	rep := &Report{
@@ -338,8 +329,9 @@ func Run(cfg Config) (*Report, error) {
 }
 
 // runOne generates and tests one query: tree → SQL → bind → optimize →
-// execute, then the differential oracle over every rule in RuleSet(q) and
-// the metamorphic oracle over every applicable rewrite.
+// execute, then the cross-engine oracle, the differential oracle over every
+// rule in RuleSet(q) and the metamorphic oracle over every applicable
+// rewrite.
 func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 	var r result
 	seed := par.DeriveSeed(c.cfg.Seed, idx)
@@ -352,163 +344,106 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 		r.skip = "generate"
 		return r
 	}
-	sqlText, err := sqlgen.Generate(tree, md)
-	if err != nil {
-		r.skip = "render"
+	q, stage, _ := c.prepare(tree, md)
+	if q == nil {
+		r.skip = stage
 		return r
 	}
-	bound, err := bind.BindSQL(sqlText, c.cfg.Catalog)
-	if err != nil {
-		r.skip = "bind"
-		return r
-	}
-	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
-	if err != nil {
-		r.skip = "optimize"
-		return r
-	}
-	if res.Plan.Cost > c.cfg.MaxCost {
+	if q.res.Plan.Cost > c.cfg.MaxCost {
 		r.skip = "estcap"
 		return r
 	}
-	r.shape = PlanShape(res.Plan)
-	r.ops = distinctOps(bound.Tree)
+	q.seed = seed
+	r.shape = PlanShape(q.res.Plan)
+	r.ops = distinctOps(q.bound.Tree)
 
-	mk := func(kind string) finding {
-		return finding{
+	// add records a finding; base and alt, when non-nil, are the plans it
+	// cites as evidence.
+	add := func(kind, detail string, base, alt *physical.Expr) *Finding {
+		f := finding{
 			pub: Finding{
-				Query: idx, Seed: seed, Kind: kind, SQL: sqlText,
-				RuleSet: fmt.Sprintf("%v", res.RuleSet.Sorted()),
+				Query: idx, Seed: seed, Kind: kind, SQL: q.sql,
+				RuleSet: fmt.Sprintf("%v", q.res.RuleSet.Sorted()), Detail: detail,
 			},
-			tree: bound.Tree, md: bound.MD,
+			tree: q.bound.Tree, md: q.bound.MD,
 		}
+		if base != nil {
+			f.pub.BasePlan = base.String()
+		}
+		if alt != nil {
+			f.pub.AltPlan = alt.String()
+		}
+		r.findings = append(r.findings, f)
+		return &r.findings[len(r.findings)-1].pub
 	}
 
-	base, err := c.execBase(res.Plan)
+	q.base, err = c.oracle.Base(q.res.Plan, c.cfg.Catalog)
 	if errors.Is(err, exec.ErrRowLimit) {
 		r.skip = "rowcap"
 		return r
 	}
 	if err != nil {
-		f := mk(KindExecError)
-		f.pub.Detail = err.Error()
-		f.pub.BasePlan = res.Plan.String()
-		r.findings = append(r.findings, f)
+		add(KindExecError, err.Error(), q.res.Plan, nil)
 		return r
 	}
 	r.planExecs++
 
-	// Cross-engine oracle: replay the query on the independent backend and
-	// compare against the base execution. A backend-side execution error is
-	// itself a divergence (engines must agree on Error-vs-OK); a budget
-	// trip on the backend skips the comparison per the budget-parity
-	// contract.
-	if c.backendOn {
-		out, err := suite.CrossCheckBase(c.cache, c.backend, c.cfg.Engine,
-			bound.Tree, base, c.cfg.Catalog, c.cfg.MaxRows, c.cfg.MaxWork)
-		switch {
-		case err != nil:
-			f := mk(KindBackend)
-			f.pub.Detail = err.Error()
-			f.pub.BasePlan = res.Plan.String()
-			r.findings = append(r.findings, f)
-		case out.Skipped || out.Capped:
-			// backend == engine, or the backend hit a budget: nothing to
-			// compare.
-		default:
-			r.backendChecks++
-			switch out.Verdict {
-			case exec.VerdictMismatch:
-				f := mk(KindBackend)
-				f.pub.Detail = out.Detail
-				f.pub.BasePlan = res.Plan.String()
-				r.findings = append(r.findings, f)
-			case exec.VerdictUndetermined:
-				r.undetermined++
-			}
-		}
-	}
-
-	// Differential oracle: disable each exercised rule in turn and compare.
-	// An unplannable Plan(q,¬r) (r was the only implementation of some
-	// operator) is skipped, not reported: losing plannability is expected,
-	// wrong results are not.
-	for _, id := range res.RuleSet.Sorted() {
-		altRes, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{Disabled: rules.NewSet(id)})
-		if err != nil || altRes.Plan.Cost > c.cfg.MaxCost {
-			continue
-		}
-		out, err := c.compareEdge(base, altRes.Plan)
-		if err != nil {
-			f := mk(KindExecError)
-			f.pub.Rule = int(id)
-			f.pub.Detail = err.Error()
-			f.pub.BasePlan = res.Plan.String()
-			f.pub.AltPlan = altRes.Plan.String()
-			r.findings = append(r.findings, f)
-			continue
-		}
-		if out.Skipped || out.Capped {
-			continue
-		}
-		r.planExecs++
-		r.diffChecks++
-		switch out.Verdict {
+	// A backend-side execution error is itself a divergence (engines must
+	// agree on Error-vs-OK); a budget trip on the backend skips the
+	// comparison per the budget-parity contract.
+	tr := c.crossCheck(q)
+	switch {
+	case tr.err != nil:
+		add(KindBackend, tr.err.Error(), q.res.Plan, nil)
+	case tr.out.Skipped || tr.out.Capped:
+	default:
+		r.backendChecks++
+		switch tr.out.Verdict {
 		case exec.VerdictMismatch:
-			f := mk(KindDifferential)
-			f.pub.Rule = int(id)
-			f.pub.Detail = out.Detail
-			f.pub.BasePlan = res.Plan.String()
-			f.pub.AltPlan = altRes.Plan.String()
-			r.findings = append(r.findings, f)
+			add(KindBackend, tr.out.Detail, q.res.Plan, nil)
 		case exec.VerdictUndetermined:
 			r.undetermined++
 		}
 	}
 
-	// Metamorphic oracle: each applicable rewrite is rendered, re-planned
-	// and compared against the base execution.
+	for _, id := range q.res.RuleSet.Sorted() {
+		tr := c.differential(q, id)
+		switch {
+		case tr.alt == nil || tr.out.Skipped || tr.out.Capped:
+			continue
+		case tr.err != nil:
+			add(KindExecError, tr.err.Error(), q.res.Plan, tr.alt).Rule = int(id)
+			continue
+		}
+		r.planExecs++
+		r.diffChecks++
+		switch tr.out.Verdict {
+		case exec.VerdictMismatch:
+			add(KindDifferential, tr.out.Detail, q.res.Plan, tr.alt).Rule = int(id)
+		case exec.VerdictUndetermined:
+			r.undetermined++
+		}
+	}
+
 	for _, rw := range c.rewrites {
-		alt := rw.Apply(bound.Tree, bound.MD, seed)
-		if alt == nil {
+		tr := c.metamorphic(q, rw)
+		switch {
+		case tr.alt == nil && tr.err != nil:
+			add(KindRewriteError, tr.err.Error(), nil, nil).Rewrite = rw.Name
+			continue
+		case tr.alt == nil || tr.out.Capped:
+			continue
+		case tr.err != nil:
+			add(KindExecError, tr.err.Error(), q.res.Plan, tr.alt).Rewrite = rw.Name
 			continue
 		}
-		altPlan, err := c.planTree(alt, bound.MD)
-		if err != nil {
-			f := mk(KindRewriteError)
-			f.pub.Rewrite = rw.Name
-			f.pub.Detail = err.Error()
-			r.findings = append(r.findings, f)
-			continue
-		}
-		if altPlan.Cost > c.cfg.MaxCost {
-			continue
-		}
-		out, err := c.compareEdge(base, altPlan)
-		if err != nil {
-			f := mk(KindExecError)
-			f.pub.Rewrite = rw.Name
-			f.pub.Detail = err.Error()
-			f.pub.BasePlan = res.Plan.String()
-			f.pub.AltPlan = altPlan.String()
-			r.findings = append(r.findings, f)
-			continue
-		}
-		if out.Capped {
-			continue
-		}
-		if !out.Skipped {
+		if !tr.out.Skipped {
 			r.planExecs++
 		}
 		r.metaChecks++
-		switch out.Verdict {
+		switch tr.out.Verdict {
 		case exec.VerdictMismatch:
-			f := mk(KindMetamorphic)
-			f.pub.Rewrite = rw.Name
-			f.pub.Detail = out.Detail
-			f.pub.BasePlan = res.Plan.String()
-			f.pub.AltPlan = altPlan.String()
-			r.findings = append(r.findings, f)
+			add(KindMetamorphic, tr.out.Detail, q.res.Plan, tr.alt).Rewrite = rw.Name
 		case exec.VerdictUndetermined:
 			r.undetermined++
 		}
@@ -516,24 +451,97 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 	return r
 }
 
-// planTree renders a logical tree to SQL, re-binds and optimizes it — the
-// same pipeline a generated query takes, applied to a rewritten tree. The
-// supplied metadata is the original query's (a superset of the tree's
-// columns), which sqlgen accepts because it names columns by ID.
-func (c *campaign) planTree(tree *logical.Expr, md *logical.Metadata) (*physical.Expr, error) {
+// query is one query taken through the pipeline to its executed Plan(q):
+// the reference side every oracle compares against.
+type query struct {
+	sql   string
+	bound *bind.Bound
+	res   *opt.Result // Plan(q) and RuleSet(q)
+	base  suite.BaseExec
+	// seed is the query's derived seed, which seed-dependent rewrites (EET
+	// site selection) choose by.
+	seed int64
+}
+
+// trial is one oracle's check of one alternative against a query's base:
+// the alternative plan it ran and the outcome. alt is nil when the oracle
+// did not run; err is then why it could not (a rewrite whose output fails
+// to render, bind or plan), or nil when it did not apply. With alt set,
+// err is the alternative's execution error.
+type trial struct {
+	alt *physical.Expr
+	out suite.EdgeOutcome
+	err error
+}
+
+// mismatch reports that the oracle ran and rejected the results.
+func (t trial) mismatch() bool { return t.err == nil && t.out.Verdict == exec.VerdictMismatch }
+
+// failed reports that the alternative ran and failed with an execution
+// error other than a budget trip.
+func (t trial) failed() bool { return t.alt != nil && t.err != nil }
+
+// crossCheck is the cross-engine oracle: q replayed on the independent
+// backend, which breaks the self-differential circularity of the other two.
+func (c *campaign) crossCheck(q *query) trial {
+	out, err := c.oracle.CrossCheck(q.bound.Tree, &q.base, c.cfg.Catalog)
+	return trial{alt: q.res.Plan, out: out, err: err}
+}
+
+// differential is the paper's oracle for one exercised rule: Plan(q,¬id)
+// against Plan(q). An unplannable Plan(q,¬id) (id was the only
+// implementation of some operator) or one over MaxCost does not run:
+// losing plannability is expected, wrong results are not.
+func (c *campaign) differential(q *query, id rules.ID) trial {
+	res, err := c.opt.Optimize(q.bound.Tree, q.bound.MD, opt.Options{Disabled: rules.NewSet(id)})
+	if err != nil || res.Plan.Cost > c.cfg.MaxCost {
+		return trial{}
+	}
+	return c.edge(q, res.Plan)
+}
+
+// metamorphic is the oracle for one rewrite: the rewritten query is
+// rendered, re-planned and compared against q's base.
+func (c *campaign) metamorphic(q *query, rw Rewrite) trial {
+	alt := rw.Apply(q.bound.Tree, q.bound.MD, q.seed)
+	if alt == nil {
+		return trial{}
+	}
+	rq, _, err := c.prepare(alt, q.bound.MD)
+	if err != nil {
+		return trial{err: err}
+	}
+	if rq.res.Plan.Cost > c.cfg.MaxCost {
+		return trial{}
+	}
+	return c.edge(q, rq.res.Plan)
+}
+
+func (c *campaign) edge(q *query, alt *physical.Expr) trial {
+	out, err := c.oracle.Edge(&q.base, alt, c.cfg.Catalog)
+	return trial{alt: alt, out: out, err: err}
+}
+
+// prepare takes a query tree through render → bind → optimize, the
+// pipeline every generated query, rewritten query and shrink candidate
+// takes. On failure it returns the stage that rejected the tree (the
+// report's skip label) and the error, prefixed with the stage. A rewritten
+// tree is prepared under the original query's metadata, a superset of its
+// columns, which sqlgen accepts because it names columns by ID.
+func (c *campaign) prepare(tree *logical.Expr, md *logical.Metadata) (*query, string, error) {
 	sqlText, err := sqlgen.Generate(tree, md)
 	if err != nil {
-		return nil, fmt.Errorf("render: %w", err)
+		return nil, "render", fmt.Errorf("render: %w", err)
 	}
 	bound, err := bind.BindSQL(sqlText, c.cfg.Catalog)
 	if err != nil {
-		return nil, fmt.Errorf("bind: %w (sql: %s)", err, sqlText)
+		return nil, "bind", fmt.Errorf("bind: %w (sql: %s)", err, sqlText)
 	}
 	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
 	if err != nil {
-		return nil, fmt.Errorf("optimize: %w", err)
+		return nil, "optimize", fmt.Errorf("optimize: %w", err)
 	}
-	return res.Plan, nil
+	return &query{sql: sqlText, bound: bound, res: res}, "", nil
 }
 
 // distinctOps returns the distinct logical operators of a tree, sorted, for

@@ -57,6 +57,7 @@ func TestRewritesPreserveResults(t *testing.T) {
 		cat := catalogs[db]
 		o := opt.New(rules.DefaultRegistry(), cat)
 		c := &campaign{cfg: Config{Catalog: cat}, opt: o}
+		var orc suite.Oracle
 		dbApplied := make(map[string]int)
 		for _, sql := range cases {
 			bound, err := bind.BindSQL(sql, cat)
@@ -67,7 +68,7 @@ func TestRewritesPreserveResults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: optimize %q: %v", db, sql, err)
 			}
-			base, err := suite.ExecBase(res.Plan, cat, 0, 0)
+			base, err := orc.Base(res.Plan, cat)
 			if err != nil {
 				t.Fatalf("%s: execute %q: %v", db, sql, err)
 			}
@@ -83,12 +84,13 @@ func TestRewritesPreserveResults(t *testing.T) {
 					}
 					applied[rw.Name]++
 					dbApplied[rw.Name]++
-					altPlan, err := c.planTree(alt, bound.MD)
+					aq, _, err := c.prepare(alt, bound.MD)
 					if err != nil {
 						t.Errorf("%s: rewrite %s (seed %d) of %q failed to plan: %v", db, rw.Name, seed, sql, err)
 						continue
 					}
-					out, err := suite.CompareEdge(cat, base, altPlan, 0, 0)
+					altPlan := aq.res.Plan
+					out, err := orc.Edge(&base, altPlan, cat)
 					if err != nil {
 						t.Errorf("%s: rewrite %s (seed %d) of %q failed to execute: %v", db, rw.Name, seed, sql, err)
 						continue

@@ -9,6 +9,7 @@ import (
 	"qtrtest/internal/exec"
 	"qtrtest/internal/mutate"
 	"qtrtest/internal/opt"
+	"qtrtest/internal/physical"
 	"qtrtest/internal/rules"
 )
 
@@ -70,22 +71,15 @@ func shrunkStillTrips(t *testing.T, cat *catalog.Catalog, m mutate.Mutant, f Fin
 		t.Logf("shrunk SQL does not plan: %v", err)
 		return false
 	}
-	switch f.Kind {
-	case KindDifferential:
-		base, err := suite.ExecBase(res.Plan, cat, 0, 2e6)
-		if err != nil {
-			return false
-		}
-		altRes, err := o.Optimize(bound.Tree, bound.MD, opt.Options{Disabled: rules.NewSet(rules.ID(f.Rule))})
-		if err != nil {
-			return false
-		}
-		out, err := suite.CompareEdge(cat, base, altRes.Plan, 0, 2e6)
-		return err == nil && !out.Skipped && out.Verdict == exec.VerdictMismatch
-	case KindMetamorphic:
-		base, err := suite.ExecBase(res.Plan, cat, 0, 2e6)
-		if err != nil {
-			return false
+	// altPlan re-derives the plan the finding's oracle compared against the
+	// base: Plan(q,¬Rule), or the plan of the rewritten query.
+	altPlan := func() *physical.Expr {
+		if f.Rule != 0 {
+			altRes, err := o.Optimize(bound.Tree, bound.MD, opt.Options{Disabled: rules.NewSet(rules.ID(f.Rule))})
+			if err != nil {
+				return nil
+			}
+			return altRes.Plan
 		}
 		for _, rw := range rewritesFor(Config{EET: true}) {
 			if rw.Name != f.Rewrite {
@@ -93,25 +87,36 @@ func shrunkStillTrips(t *testing.T, cat *catalog.Catalog, m mutate.Mutant, f Fin
 			}
 			alt := rw.Apply(bound.Tree, bound.MD, f.Seed)
 			if alt == nil {
-				return false
+				return nil
 			}
 			c := &campaign{cfg: Config{Catalog: cat}, opt: o}
-			altPlan, err := c.planTree(alt, bound.MD)
+			aq, _, err := c.prepare(alt, bound.MD)
 			if err != nil {
-				return false
+				return nil
 			}
-			out, err := suite.CompareEdge(cat, base, altPlan, 0, 2e6)
-			return err == nil && !out.Skipped && out.Verdict == exec.VerdictMismatch
+			return aq.res.Plan
 		}
-		return false
+		return nil
+	}
+	orc := suite.Oracle{MaxWork: 2e6}
+	switch f.Kind {
+	case KindDifferential, KindMetamorphic:
+		base, err := orc.Base(res.Plan, cat)
+		if err != nil {
+			return false
+		}
+		alt := altPlan()
+		if alt == nil {
+			return false
+		}
+		out, err := orc.Edge(&base, alt, cat)
+		return err == nil && !out.Skipped && out.Verdict == exec.VerdictMismatch
 	case KindExecError:
 		plan := res.Plan
-		if f.Rule != 0 {
-			altRes, err := o.Optimize(bound.Tree, bound.MD, opt.Options{Disabled: rules.NewSet(rules.ID(f.Rule))})
-			if err != nil {
+		if f.Rule != 0 || f.Rewrite != "" {
+			if plan = altPlan(); plan == nil {
 				return false
 			}
-			plan = altRes.Plan
 		}
 		_, err := exec.Run(plan, cat)
 		return err != nil

@@ -3,11 +3,8 @@ package fuzz
 import (
 	"errors"
 
-	"qtrtest/internal/bind"
-	"qtrtest/internal/core/suite"
 	"qtrtest/internal/exec"
 	"qtrtest/internal/logical"
-	"qtrtest/internal/opt"
 	"qtrtest/internal/physical"
 	"qtrtest/internal/rescache"
 	"qtrtest/internal/rules"
@@ -28,17 +25,18 @@ import (
 // shrinker actually costs when a cache is present, since replayed candidates
 // are hits there too.
 type shrinkBudget struct {
+	c         *campaign
 	remaining int
 	seen      map[rescache.Key]struct{}
 }
 
-func newShrinkBudget(n int) *shrinkBudget {
-	return &shrinkBudget{remaining: n, seen: make(map[rescache.Key]struct{})}
+func newShrinkBudget(c *campaign) *shrinkBudget {
+	return &shrinkBudget{c: c, remaining: c.cfg.MaxShrinkChecks, seen: make(map[rescache.Key]struct{})}
 }
 
 // charge deducts one check if this execution key is new to the finding.
-func (b *shrinkBudget) charge(eng exec.Engine, plan *physical.Expr, c *campaign) {
-	b.chargeKey(rescache.KeyFor(eng, plan, c.cfg.Catalog, c.cfg.MaxRows, c.cfg.MaxWork))
+func (b *shrinkBudget) charge(eng exec.Engine, plan *physical.Expr) {
+	b.chargeKey(rescache.KeyFor(eng, plan, b.c.cfg.Catalog, b.c.cfg.MaxRows, b.c.cfg.MaxWork))
 }
 
 // chargeKey is charge for a pre-built execution key (tree executions on a
@@ -51,12 +49,37 @@ func (b *shrinkBudget) chargeKey(k rescache.Key) {
 	b.remaining--
 }
 
+// ran charges an oracle's alternative iff it ran, was not skipped and
+// returned no error (a budget trip is a Capped outcome, not an error), and
+// passes the trial through.
+func (b *shrinkBudget) ran(t trial) trial {
+	if t.alt != nil && t.err == nil && !t.out.Skipped {
+		b.charge(b.c.oracle.Engine, t.alt)
+	}
+	return t
+}
+
+// chargeBackend charges the cross-check's execution of q on the backend.
+func (b *shrinkBudget) chargeBackend(q *query) {
+	eng, _ := b.c.oracle.Backend()
+	if exec.HasTreeBackend(eng) {
+		b.chargeKey(rescache.KeyForTree(eng, q.bound.Tree, b.c.cfg.Catalog, b.c.cfg.MaxRows, b.c.cfg.MaxWork))
+	} else {
+		b.charge(eng, q.res.Plan)
+	}
+}
+
 func (b *shrinkBudget) spent() bool { return b.remaining <= 0 }
 
-// shrinkFinding minimizes the finding's query tree while the same oracle
-// keeps failing, and records the shrunk SQL on the public finding. Each kind
-// gets its own keep predicate; rewrite-error findings are left unshrunk — a
-// broken rewrite wants its full originating query as context.
+// shrinkFinding minimizes the finding's query tree while the oracle that
+// raised it keeps failing, and records the shrunk SQL on the public
+// finding. Each candidate is re-derived to its executed base by replayBase,
+// then handed to the same campaign method that raised the finding: the
+// differential oracle for its rule, the metamorphic oracle for its rewrite,
+// the cross-check, or — for an exec-error finding — whichever of those ran
+// the failing plan (the base itself when the finding names neither a rule
+// nor a rewrite). Rewrite-error findings are left unshrunk: a broken
+// rewrite wants its full originating query as context.
 //
 // The oracle budget (cfg.MaxShrinkChecks) counts distinct plan executions,
 // not keep evaluations: candidates whose plans were all executed earlier in
@@ -64,32 +87,56 @@ func (b *shrinkBudget) spent() bool { return b.remaining <= 0 }
 // than it used to. Shrink's own check bound is effectively disabled — budget
 // exhaustion rejects every candidate, which terminates the reduction loop.
 func (c *campaign) shrinkFinding(f *finding) {
-	budget := newShrinkBudget(c.cfg.MaxShrinkChecks)
-	var keep func(*logical.Expr) bool
-	switch f.pub.Kind {
-	case KindDifferential:
-		keep = func(t *logical.Expr) bool {
-			return !budget.spent() && c.diffTrips(t, f.md, rules.ID(f.pub.Rule), budget)
+	budget := newShrinkBudget(c)
+	// alt replays the oracle that ran the finding's alternative plan: the
+	// differential oracle for its rule, the metamorphic oracle for its
+	// rewrite. Base and backend findings name neither.
+	var alt func(q *query) trial
+	for _, rw := range c.rewrites {
+		if rw.Name == f.pub.Rewrite {
+			alt = func(q *query) trial { return budget.ran(c.metamorphic(q, rw)) }
+			break
 		}
-	case KindMetamorphic:
-		keep = func(t *logical.Expr) bool {
-			return !budget.spent() && c.metaTrips(t, f.md, f.pub.Rewrite, f.pub.Seed, budget)
+	}
+	if id := rules.ID(f.pub.Rule); id != 0 {
+		alt = func(q *query) trial { return budget.ran(c.differential(q, id)) }
+	}
+	// trips reports whether a re-derived candidate still trips the oracle;
+	// baseErr is its base's execution error.
+	var trips func(q *query, baseErr error) bool
+	switch {
+	case f.pub.Kind == KindDifferential || f.pub.Kind == KindMetamorphic:
+		trips = func(q *query, baseErr error) bool { return baseErr == nil && alt(q).mismatch() }
+	case f.pub.Kind == KindExecError && alt != nil:
+		trips = func(q *query, baseErr error) bool { return baseErr == nil && alt(q).failed() }
+	case f.pub.Kind == KindExecError: // the base plan itself failed
+		trips = func(_ *query, baseErr error) bool {
+			return baseErr != nil && !errors.Is(baseErr, exec.ErrRowLimit)
 		}
-	case KindExecError:
-		keep = func(t *logical.Expr) bool {
-			return !budget.spent() && c.execErrs(t, f.md, rules.ID(f.pub.Rule), budget)
-		}
-	case KindBackend:
-		keep = func(t *logical.Expr) bool {
-			return !budget.spent() && c.backendTrips(t, f.md, budget)
+	case f.pub.Kind == KindBackend:
+		trips = func(q *query, baseErr error) bool {
+			if baseErr != nil {
+				return false
+			}
+			budget.chargeBackend(q)
+			t := c.crossCheck(q)
+			return t.err != nil || t.mismatch()
 		}
 	default:
 		return
 	}
+	keep := func(t *logical.Expr) bool {
+		if budget.spent() {
+			return false
+		}
+		q, err := c.replayBase(t, f, budget)
+		return q != nil && trips(q, err)
+	}
 	if !keep(f.tree) {
-		// The original no longer trips when re-derived (it should — every
-		// stage is deterministic — so this is pure defensiveness): report
-		// it unshrunk rather than attach a wrong reproducer.
+		// The candidate is re-rendered from the bound tree, whose SQL need
+		// not match the generated query's byte for byte, so the re-derived
+		// query can plan differently and miss the oracle. Report the
+		// finding unshrunk rather than attach a wrong reproducer.
 		return
 	}
 	shrunk := Shrink(f.tree, keep, 1<<30)
@@ -101,132 +148,18 @@ func (c *campaign) shrinkFinding(f *finding) {
 	f.pub.ShrunkOps = shrunk.CountOps()
 }
 
-// rebindPlan runs a candidate tree through the standard pipeline up to the
-// optimized base plan, returning the re-bound tree alongside.
-func (c *campaign) rebind(t *logical.Expr, md *logical.Metadata) (*bind.Bound, error) {
-	sqlText, err := sqlgen.Generate(t, md)
-	if err != nil {
-		return nil, err
+// replayBase re-derives a shrink candidate's query exactly as runOne
+// derives a generated one, charges its base execution to the budget and
+// runs it. It returns nil when the candidate no longer renders, binds,
+// plans or fits MaxCost; otherwise the query and its base's execution
+// error.
+func (c *campaign) replayBase(t *logical.Expr, f *finding, budget *shrinkBudget) (*query, error) {
+	q, _, err := c.prepare(t, f.md)
+	if err != nil || q.res.Plan.Cost > c.cfg.MaxCost {
+		return nil, nil
 	}
-	return bind.BindSQL(sqlText, c.cfg.Catalog)
-}
-
-// diffTrips reports whether the differential oracle still flags the query
-// with rule id disabled.
-func (c *campaign) diffTrips(t *logical.Expr, md *logical.Metadata, id rules.ID, budget *shrinkBudget) bool {
-	bound, err := c.rebind(t, md)
-	if err != nil {
-		return false
-	}
-	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
-	if err != nil || res.Plan.Cost > c.cfg.MaxCost {
-		return false
-	}
-	budget.charge(c.cfg.Engine, res.Plan, c)
-	base, err := c.execBase(res.Plan)
-	if err != nil {
-		return false
-	}
-	altRes, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{Disabled: rules.NewSet(id)})
-	if err != nil || altRes.Plan.Cost > c.cfg.MaxCost {
-		return false
-	}
-	out, err := c.compareEdge(base, altRes.Plan)
-	if err == nil && !out.Skipped {
-		budget.charge(c.cfg.Engine, altRes.Plan, c)
-	}
-	return err == nil && !out.Skipped && !out.Capped && out.Verdict == exec.VerdictMismatch
-}
-
-// metaTrips reports whether the named metamorphic rewrite still applies to
-// the query and still produces mismatching results. seed is the finding's
-// derived seed, so seed-dependent rewrites (EET site selection) replay the
-// same choice on each shrink candidate.
-func (c *campaign) metaTrips(t *logical.Expr, md *logical.Metadata, name string, seed int64, budget *shrinkBudget) bool {
-	bound, err := c.rebind(t, md)
-	if err != nil {
-		return false
-	}
-	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
-	if err != nil || res.Plan.Cost > c.cfg.MaxCost {
-		return false
-	}
-	budget.charge(c.cfg.Engine, res.Plan, c)
-	base, err := c.execBase(res.Plan)
-	if err != nil {
-		return false
-	}
-	for _, rw := range c.rewrites {
-		if rw.Name != name {
-			continue
-		}
-		alt := rw.Apply(bound.Tree, bound.MD, seed)
-		if alt == nil {
-			return false
-		}
-		altPlan, err := c.planTree(alt, bound.MD)
-		if err != nil || altPlan.Cost > c.cfg.MaxCost {
-			return false
-		}
-		out, err := c.compareEdge(base, altPlan)
-		if err == nil && !out.Skipped {
-			budget.charge(c.cfg.Engine, altPlan, c)
-		}
-		return err == nil && !out.Skipped && !out.Capped && out.Verdict == exec.VerdictMismatch
-	}
-	return false
-}
-
-// backendTrips reports whether the cross-engine oracle still fires on the
-// candidate: the independent backend's replay of the query either errors
-// where the base succeeded or produces mismatching results.
-func (c *campaign) backendTrips(t *logical.Expr, md *logical.Metadata, budget *shrinkBudget) bool {
-	bound, err := c.rebind(t, md)
-	if err != nil {
-		return false
-	}
-	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
-	if err != nil || res.Plan.Cost > c.cfg.MaxCost {
-		return false
-	}
-	budget.charge(c.cfg.Engine, res.Plan, c)
-	base, err := c.execBase(res.Plan)
-	if err != nil {
-		return false
-	}
-	if exec.HasTreeBackend(c.backend) {
-		budget.chargeKey(rescache.KeyForTree(c.backend, bound.Tree, c.cfg.Catalog, c.cfg.MaxRows, c.cfg.MaxWork))
-	} else {
-		budget.charge(c.backend, res.Plan, c)
-	}
-	out, err := suite.CrossCheckBase(c.cache, c.backend, c.cfg.Engine,
-		bound.Tree, base, c.cfg.Catalog, c.cfg.MaxRows, c.cfg.MaxWork)
-	if err != nil {
-		return true
-	}
-	return !out.Skipped && !out.Capped && out.Verdict == exec.VerdictMismatch
-}
-
-// execErrs reports whether the pipeline still fails with an execution error
-// (not the row cap): on the base plan when id is 0, else on Plan(q,¬id).
-func (c *campaign) execErrs(t *logical.Expr, md *logical.Metadata, id rules.ID, budget *shrinkBudget) bool {
-	bound, err := c.rebind(t, md)
-	if err != nil {
-		return false
-	}
-	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
-	if err != nil || res.Plan.Cost > c.cfg.MaxCost {
-		return false
-	}
-	plan := res.Plan
-	if id != 0 {
-		altRes, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{Disabled: rules.NewSet(id)})
-		if err != nil || altRes.Plan.Cost > c.cfg.MaxCost {
-			return false
-		}
-		plan = altRes.Plan
-	}
-	budget.charge(c.cfg.Engine, plan, c)
-	_, err = c.cache.Run(c.cfg.Engine, plan, c.cfg.Catalog, c.cfg.MaxRows, c.cfg.MaxWork)
-	return err != nil && !errors.Is(err, exec.ErrRowLimit)
+	q.seed = f.pub.Seed
+	budget.charge(c.oracle.Engine, q.res.Plan)
+	q.base, err = c.oracle.Base(q.res.Plan, c.cfg.Catalog)
+	return q, err
 }

@@ -32,6 +32,7 @@ import (
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
 	"qtrtest/internal/exec"
+	"qtrtest/internal/fnv64"
 	"qtrtest/internal/logical"
 	"qtrtest/internal/physical"
 )
@@ -174,26 +175,14 @@ func (c *Cache) Stats() Stats {
 // is a pure function of the key stream, which keeps cache behavior
 // reproducible run-to-run at a fixed worker count.
 func (c *Cache) shardFor(k Key) *shard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(k.Plan); i++ {
-		h = (h ^ uint64(k.Plan[i])) * prime64
-	}
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h = (h ^ (v & 0xff)) * prime64
-			v >>= 8
-		}
-	}
-	mix(k.CatID)
-	mix(k.CatVer)
-	mix(uint64(k.MaxRows))
-	mix(uint64(k.MaxWork))
-	mix(uint64(k.Engine))
-	return &c.shards[h%numShards]
+	h := fnv64.New()
+	h.String(k.Plan)
+	h.Uint64(k.CatID)
+	h.Uint64(k.CatVer)
+	h.Uint64(uint64(k.MaxRows))
+	h.Uint64(uint64(k.MaxWork))
+	h.Uint64(uint64(k.Engine))
+	return &c.shards[h.Sum()%numShards]
 }
 
 // Run executes the plan through the cache: a hit returns the memoized rows

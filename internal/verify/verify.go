@@ -24,7 +24,6 @@ package verify
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -76,10 +75,6 @@ type Config struct {
 	// and compared under the same order-aware oracle, so an engine fault that
 	// corrupts both sides of a rewrite identically still surfaces.
 	Backend string
-
-	// backend is the resolved Backend engine; backendOn gates the check.
-	backend   exec.Engine
-	backendOn bool
 }
 
 // Finding is one verified rule failure: the smallest failing
@@ -187,12 +182,9 @@ func Run(cfg Config) (*Report, error) {
 	if reg == nil {
 		reg = rules.DefaultRegistry()
 	}
-	if cfg.Backend != "" {
-		eng, err := exec.EngineByName(cfg.Backend)
-		if err != nil {
-			return nil, fmt.Errorf("verify: %w", err)
-		}
-		cfg.backend, cfg.backendOn = eng, true
+	orc := &suite.Oracle{Cache: cfg.Cache, MaxRows: maxResultRows, MaxWork: maxWorkRows}
+	if err := orc.SetBackend(cfg.Backend); err != nil {
+		return nil, fmt.Errorf("verify: %w", err)
 	}
 	targets := reg.All()
 	if len(cfg.Rules) > 0 {
@@ -213,7 +205,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	results := make([]*ruleResult, len(targets))
 	par.ForEach(cfg.Workers, len(targets), func(i int) {
-		results[i] = checkRule(targets[i], &cfg)
+		results[i] = checkRule(targets[i], &cfg, orc)
 	})
 	rep := &Report{Schema: ReportSchema, Mutant: cfg.Mutant, EET: cfg.EET, Backend: cfg.Backend, Rules: len(targets)}
 	for _, res := range results {
@@ -239,12 +231,13 @@ func Run(cfg Config) (*Report, error) {
 // registry order, which is what makes the report worker-count independent.
 type ruleResult struct {
 	cfg     *Config
+	oracle  *suite.Oracle
 	stat    RuleStat
 	finding *Finding
 }
 
-func checkRule(r rules.Rule, cfg *Config) *ruleResult {
-	res := &ruleResult{cfg: cfg, stat: RuleStat{
+func checkRule(r rules.Rule, cfg *Config, orc *suite.Oracle) *ruleResult {
+	res := &ruleResult{cfg: cfg, oracle: orc, stat: RuleStat{
 		Rule: int(r.ID()), Name: r.Name(), Kind: r.Kind().String(),
 	}}
 	insts, truncated := enumerate(r.Pattern())
@@ -327,27 +320,21 @@ func (res *ruleResult) checkImplementation(r rules.ImplementationRule, inst *ins
 // LimitToLimit, ...) verify with zero executions while their mutated
 // variants, whose payloads differ, still get the full sweep.
 func (res *ruleResult) comparePlans(r rules.Rule, inst *instance, baseTree *logical.Expr, base *physical.Expr, alts []*physical.Expr) {
-	baseHash := base.Hash()
 	var live []*physical.Expr
 	for _, alt := range alts {
-		if alt.Hash() == baseHash {
+		if alt.Hash() == base.Hash() {
 			res.stat.Pairs++
 			res.stat.Identical++
 			continue
 		}
 		live = append(live, alt)
 	}
-	if len(live) == 0 && !res.cfg.backendOn {
+	if _, crossCheck := res.oracle.Backend(); len(live) == 0 && !crossCheck {
 		return
-	}
-	baseOrder := exec.RootOrder(base)
-	orders := make([]exec.PlanOrder, len(live))
-	for i, alt := range live {
-		orders[i] = exec.RootOrder(alt)
 	}
 	for _, db := range enumerateDatabases(inst.tables) {
 		cat := buildCatalog(db)
-		baseRows, err := res.cfg.Cache.Run(exec.EngineBatch, base, cat, maxResultRows, maxWorkRows)
+		bx, err := res.oracle.Base(base, cat)
 		if err != nil {
 			// The base side is the canonical lowering; only a budget trip
 			// can fail it, and then no comparison on this database is
@@ -356,42 +343,36 @@ func (res *ruleResult) comparePlans(r rules.Rule, inst *instance, baseTree *logi
 			res.stat.Skipped += len(live)
 			continue
 		}
-		if res.cfg.backendOn {
-			bx := &suite.BaseExec{Plan: base, Rows: baseRows, Hash: baseHash, Order: baseOrder}
-			out, err := suite.CrossCheckBase(res.cfg.Cache, res.cfg.backend, exec.EngineBatch,
-				baseTree, bx, cat, maxResultRows, maxWorkRows)
+		out, err := res.oracle.CrossCheck(baseTree, &bx, cat)
+		switch {
+		case err != nil:
+			res.fail(r, inst, db, base, base, "backend cross-check: "+err.Error())
+		case out.Skipped || out.Capped:
+		default:
+			res.stat.BackendChecks++
+			switch out.Verdict {
+			case exec.VerdictMismatch:
+				res.fail(r, inst, db, base, base, "backend cross-check: "+out.Detail)
+			case exec.VerdictUndetermined:
+				res.stat.Undetermined++
+			}
+		}
+		for _, alt := range live {
+			res.stat.Pairs++
+			out, err := res.oracle.Edge(&bx, alt, cat)
 			switch {
 			case err != nil:
-				res.fail(r, inst, db, base, base, "backend cross-check: "+err.Error())
-			case out.Skipped || out.Capped:
+				res.fail(r, inst, db, base, alt, "execution error: "+err.Error())
+			case out.Capped:
+				res.stat.Skipped++
 			default:
-				res.stat.BackendChecks++
+				res.stat.Executed++
 				switch out.Verdict {
 				case exec.VerdictMismatch:
-					res.fail(r, inst, db, base, base, "backend cross-check: "+out.Detail)
+					res.fail(r, inst, db, base, alt, out.Detail)
 				case exec.VerdictUndetermined:
 					res.stat.Undetermined++
 				}
-			}
-		}
-		for i, alt := range live {
-			res.stat.Pairs++
-			altRows, err := res.cfg.Cache.Run(exec.EngineBatch, alt, cat, maxResultRows, maxWorkRows)
-			if err != nil {
-				if errors.Is(err, exec.ErrRowLimit) {
-					res.stat.Skipped++
-					continue
-				}
-				res.fail(r, inst, db, base, alt, "execution error: "+err.Error())
-				continue
-			}
-			res.stat.Executed++
-			verdict, detail := exec.CompareResults(baseRows, baseOrder, altRows, orders[i])
-			switch verdict {
-			case exec.VerdictMismatch:
-				res.fail(r, inst, db, base, alt, detail)
-			case exec.VerdictUndetermined:
-				res.stat.Undetermined++
 			}
 		}
 	}

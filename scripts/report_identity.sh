@@ -8,8 +8,12 @@
 # with `git archive` into a temporary directory, so the repository and its
 # git metadata are left as they were. Covered, each at -workers 1 and 2:
 # fuzz -eet -backend ref -n 24 at seeds 1 and 42, fuzz -n 48 on -db tpch and
-# -db star at seed 42, verify -eet for the pristine registry and every
-# mutant, mutate, and suite -validate. Covered once: analyze -q on three
+# -db star at seed 42, a fuzz campaign with findings to shrink (-seed 42
+# -backend ref fuzz -n 64 -eet -mutant dup-union-branch, whose findings
+# include differential, metamorphic and backend kinds), verify -eet for the
+# pristine registry and every mutant, mutate, and suite -validate, the last
+# three also with -backend ref (verify for the pristine registry and
+# wrong-agg). Covered once: analyze -q on three
 # TPC-H queries (a join, ORDER BY ... LIMIT, UNION ALL) and the output of
 # examples/estimation. Standard output and the exit status are compared;
 # standard error is not (it carries progress and timing). Exits 1 if any
@@ -73,8 +77,13 @@ for w in 1 2; do
 	for m in $mutants; do
 		same "verify-eet-$m-w$w" -workers "$w" verify -eet -mutant "$m" -json
 	done
+	same "fuzz-eet-ref-dup-union-branch-w$w" -workers "$w" -seed 42 -backend ref fuzz -n 64 -eet -mutant dup-union-branch -json
 	same "mutate-w$w" -workers "$w" mutate
 	same "suite-validate-w$w" -workers "$w" suite -validate
+	same "mutate-ref-w$w" -workers "$w" -backend ref mutate
+	same "suite-validate-ref-w$w" -workers "$w" -backend ref suite -validate
+	same "verify-eet-ref-w$w" -workers "$w" -backend ref verify -eet -json
+	same "verify-eet-ref-wrong-agg-w$w" -workers "$w" -backend ref verify -eet -mutant wrong-agg -json
 done
 same analyze-join analyze -q "SELECT c_name, o_totalprice FROM customer JOIN orders ON c_custkey = o_custkey WHERE o_totalprice > 100000"
 same analyze-order-limit analyze -q "SELECT o_orderkey, o_totalprice FROM orders ORDER BY o_totalprice DESC LIMIT 5"
